@@ -1,7 +1,7 @@
 """Thin shim the BENCH writers use to feed the perf-regression ledger.
 
 The real implementation lives in :mod:`repro.obs.ledger` (importable by
-the ``repro-perf`` entry point); this module pins the ledger path to
+the ``repro perf`` entry point); this module pins the ledger path to
 ``results/perf_ledger.jsonl`` at the repository root, wherever the
 benchmark was launched from, and never lets ledger trouble fail a
 benchmark -- the BENCH_*.json artifact is the primary record, the

@@ -5,7 +5,7 @@ strategy per size) and writes ``BENCH_scaleup.json`` next to the repo
 root: per machine size, the MAGIC/range/BERD placement-build seconds,
 the DES events/sec achieved by the simulation, and the simulated
 throughputs.  Rows for the headline metrics are appended to the perf
-ledger so ``repro-perf`` can trend them across commits.
+ledger so ``repro perf`` can trend them across commits.
 
 The acceptance bar is the ISSUE-7 criterion: the ``num_sites=1024``
 MAGIC placement (fig-8a-style 62x61 grid over the full 100k-tuple

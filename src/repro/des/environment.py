@@ -296,7 +296,7 @@ class Environment:
         """The :meth:`run` semantics via :meth:`step`, invariants active.
 
         Only used when a checker is attached (``--check-invariants``,
-        ``repro-validate``): correctness instrumentation already costs
+        ``repro validate``): correctness instrumentation already costs
         far more than a method frame per event, so this path favours
         the obvious formulation.
         """

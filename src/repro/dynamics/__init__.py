@@ -20,7 +20,7 @@ digests never see any dynamics knob).
 from .faults import FaultController, FaultPlan, SiteFailure
 from .mutations import MutationSource, OnlineGridMaintainer
 from .rescale import RescaleReport, rescale_placement
-from .runner import run_dynamics
+from .runner import format_dynamics, run_dynamics
 
 __all__ = [
     "FaultController",
@@ -31,4 +31,5 @@ __all__ = [
     "RescaleReport",
     "rescale_placement",
     "run_dynamics",
+    "format_dynamics",
 ]

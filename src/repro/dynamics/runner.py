@@ -1,4 +1,4 @@
-"""The ``--dynamics`` figure family: degradation under change.
+"""The ``repro dynamics`` figure family: degradation under change.
 
 For each strategy, :func:`run_dynamics` executes up to four machine
 runs against one figure configuration:
@@ -46,7 +46,8 @@ from .faults import FaultPlan
 from .mutations import MutationSource, OnlineGridMaintainer
 from .rescale import rescale_placement
 
-__all__ = ["run_dynamics", "DYNAMICS_STRATEGIES", "DYNAMICS_SCENARIOS"]
+__all__ = ["run_dynamics", "format_dynamics", "DYNAMICS_STRATEGIES",
+           "DYNAMICS_SCENARIOS"]
 
 #: All four strategies, including the hash ablation the static figures
 #: omit -- degradation under failure is exactly where they differ.
@@ -269,3 +270,37 @@ def run_dynamics(figure: str = "8a", *,
         "per_strategy": per_strategy,
     }
     return result
+
+
+def format_dynamics(dyn: Dict) -> str:
+    """One row per strategy of a ``dynamics`` payload: baseline and
+    failure throughput, worst p99 degradation, rescale movement and
+    throughput, live grid splits ("-" where a scenario did not run)."""
+    lines = [f"Dynamics (figure {dyn['figure']}, {dyn['num_sites']} sites, "
+             f"MPL {dyn['multiprogramming_level']}, scenarios "
+             f"{','.join(dyn['scenarios'])}):",
+             f"{'strategy':>10}{'base q/s':>10}{'fail q/s':>10}"
+             f"{'p99 x':>8}{'moved%':>8}{'grow q/s':>10}{'splits':>8}"]
+    for name, payload in dyn["per_strategy"].items():
+        row = f"{name:>10}{payload['baseline']['throughput']:10.1f}"
+        failure = payload.get("failure")
+        if failure:
+            worst = max((d for d in failure["p99_degradation"].values()
+                         if d is not None), default=float("nan"))
+            row += f"{failure['throughput']:10.1f}{worst:8.2f}"
+        else:
+            row += f"{'-':>10}{'-':>8}"
+        rescale = payload.get("rescale")
+        if rescale:
+            moved = (100.0 * rescale["report"]["tuples_moved"]
+                     / rescale["report"]["total_tuples"])
+            row += f"{moved:8.1f}{rescale['throughput_after']:10.1f}"
+        else:
+            row += f"{'-':>8}{'-':>10}"
+        churn = payload.get("churn")
+        if churn and churn.get("maintainer"):
+            row += f"{churn['maintainer']['splits_performed']:8d}"
+        else:
+            row += f"{'-':>8}"
+        lines.append(row)
+    return "\n".join(lines)

@@ -17,9 +17,11 @@
 * :mod:`~repro.experiments.audit_report` -- placement-quality audit
   reports (markdown + self-contained HTML) fusing the static
   :mod:`repro.obs.audit` metrics with runtime telemetry;
-* :mod:`~repro.experiments.cli` -- the ``repro-experiments`` command;
-* :mod:`~repro.experiments.audit_cli` -- the offline ``repro-audit``
-  command (cached results in, reports out, zero simulation).
+* :mod:`~repro.experiments.profile` -- cProfile of one simulated point.
+
+The command line over all of it is ``repro`` (:mod:`repro.cli`):
+``repro figure``, ``repro sweep``, ``repro audit`` and the other
+subcommands call the functions exported here.
 """
 
 from .markdown import (

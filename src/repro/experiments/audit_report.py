@@ -11,7 +11,7 @@ ramp.
 
 Reports never simulate.  Placements are rebuilt (or reused from the
 plan layer's per-process memo) via
-:func:`~repro.experiments.plan.placement_for_spec`, so ``repro-audit``
+:func:`~repro.experiments.plan.placement_for_spec`, so ``repro audit``
 on a cached results file is pure post-processing.
 """
 

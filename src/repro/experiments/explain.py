@@ -1,4 +1,4 @@
-"""``--explain``: re-run one MPL point with tracing and show *why*.
+"""``repro explain``: re-run one MPL point with tracing and show *why*.
 
 The paper's §7 explains each figure by naming the saturated resource
 (MAGIC's scheduler CPU at high multiprogramming levels, BERD's
@@ -16,6 +16,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..gamma import GAMMA_PARAMETERS, SimulationParameters
 from ..obs import Telemetry, TelemetrySpec, dominant_resource, why_table
+from .cache import ResultCache
 from .config import FIGURES
 from .executor import make_executor
 from .plan import compile_figure
@@ -86,16 +87,25 @@ def explain_figure(figure: str, mpl: int = 64,
                    measured_queries: int = 200, seed: int = 13,
                    params: SimulationParameters = GAMMA_PARAMETERS,
                    strategies: Optional[Sequence[str]] = None,
-                   jobs: int = 1) -> ExplainResult:
-    """Re-run one (figure, MPL) point per strategy with tracing on."""
+                   jobs: int = 1, start_method: Optional[str] = None,
+                   cache: Optional[ResultCache] = None,
+                   check_invariants: bool = False,
+                   progress=None) -> ExplainResult:
+    """Re-run one (figure, MPL) point per strategy with tracing on.
+
+    The execution keywords mean what they mean for
+    :func:`~repro.experiments.runner.run_experiment`; traced points are
+    always simulated, so ``cache`` is only written through.
+    """
     config = FIGURES[figure]
     plan = compile_figure(config, cardinality=cardinality,
                           num_sites=num_sites,
                           measured_queries=measured_queries,
                           mpls=(mpl,), seed=seed, params=params,
                           strategies=strategies)
-    outcomes = make_executor(jobs).execute(
-        plan, telemetry_spec=TelemetrySpec())
+    outcomes = make_executor(jobs, start_method=start_method).execute(
+        plan, cache=cache, telemetry_spec=TelemetrySpec(),
+        check_invariants=check_invariants, progress=progress)
 
     result = ExplainResult(figure, mpl)
     for outcome in outcomes:

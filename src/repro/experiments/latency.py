@@ -7,7 +7,7 @@ When a figure runs with latency capture on (``--latency`` or any
 This module folds those per-run sketches into the JSON payload stored
 under the optional ``latency`` key of results-v2 files (older files and
 files saved without capture simply lack the key) and renders the
-latency-budget tables the figure reports and ``repro-latency`` print.
+latency-budget tables the figure reports and ``repro latency`` print.
 
 Payload schema (all times in simulated seconds)::
 
@@ -34,12 +34,18 @@ strategies, or diff two artifacts without re-simulating.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
+from ..obs import TelemetrySpec, span_records
+from ..obs.critpath import (critical_paths, critpath_table,
+                            summarize_critical_paths)
 from ..obs.sketch import LatencyRecorder, QUANTILES
+from .config import FIGURES
+from .executor import make_executor
+from .plan import compile_figure
 
 __all__ = ["latency_payload", "latency_table", "latency_budget_lines",
-           "recorders_from_payload"]
+           "recorders_from_payload", "traced_latency_report"]
 
 
 def latency_payload(telemetries: Dict[Tuple[str, int], object],
@@ -170,3 +176,41 @@ def latency_budget_lines(payload: Dict) -> List[str]:
             f"over {int(summary['count'])} queries "
             f"(mean {summary['mean'] * 1000:.1f} ms)")
     return lines
+
+
+def traced_latency_report(figure: str, mpls: Sequence[int] = (16,),
+                          cardinality: int = 100_000, num_sites: int = 32,
+                          measured_queries: int = 200, seed: int = 13,
+                          jobs: int = 1, start_method: Optional[str] = None,
+                          cache=None, check_invariants: bool = False,
+                          progress=None) -> str:
+    """Re-run *figure* at *mpls* with tracing + latency capture on.
+
+    Returns the latency-budget table followed by one critical-path
+    attribution table per (strategy, MPL) run.  The execution keywords
+    mean what they mean for
+    :func:`~repro.experiments.runner.run_experiment`.
+    """
+    plan = compile_figure(FIGURES[figure], cardinality=cardinality,
+                          num_sites=num_sites,
+                          measured_queries=measured_queries,
+                          mpls=tuple(mpls), seed=seed)
+    outcomes = make_executor(jobs, start_method=start_method).execute(
+        plan, cache=cache, telemetry_spec=TelemetrySpec(latency=True),
+        check_invariants=check_invariants, progress=progress)
+    telemetries = {(o.spec.strategy, o.spec.multiprogramming_level):
+                   o.telemetry for o in outcomes}
+    blocks = [f"figure {figure} at MPL {','.join(map(str, mpls))} (live "
+              f"traced run, {measured_queries} measured queries per "
+              f"strategy):"]
+    payload = latency_payload(telemetries)
+    if payload is not None:
+        blocks.append(latency_table(payload).rstrip())
+    for (strategy, mpl), telemetry in sorted(telemetries.items()):
+        if telemetry is None or telemetry.spans is None:
+            continue
+        summaries = summarize_critical_paths(
+            critical_paths(span_records(telemetry.spans)))
+        blocks.append(f"critical paths -- {strategy}, MPL {mpl}:")
+        blocks.append(critpath_table(summaries).rstrip())
+    return "\n".join(blocks)

@@ -1,7 +1,7 @@
 """The declarative run-plan layer every experiment entry point compiles into.
 
 Figures (:func:`~repro.experiments.runner.run_experiment`), parameter
-sweeps (:func:`~repro.experiments.sweeps.sweep`) and ``--explain`` used
+sweeps (:func:`~repro.experiments.sweeps.sweep`) and ``repro explain`` used
 to carry three divergent copies of the same strategy-build /
 relation-build / machine-run loop, all strictly serial.  This module
 replaces them with one vocabulary:
@@ -47,6 +47,7 @@ from ..workload import cost_model_for_mix, make_mix
 from .config import ATTR_A, ATTR_B, ExperimentConfig, FIGURES
 
 __all__ = [
+    "STRATEGY_NAMES",
     "RunSpec",
     "PlannedRun",
     "RunPlan",
@@ -154,6 +155,10 @@ class RunPlan:
 
     def digests(self) -> List[str]:
         return [run.spec.digest() for run in self.runs]
+
+
+#: Every name :func:`build_strategy` accepts.
+STRATEGY_NAMES = ("range", "hash", "berd", "magic", "magic-derived")
 
 
 def build_strategy(name: str, config: ExperimentConfig,

@@ -117,14 +117,14 @@ def figure_from_dict(payload: Dict) -> FigureResult:
         audit=payload.get("audit"),
         # Optional wall-clock phase attribution (absent in files saved
         # before the observability layer, or with phases off); kept
-        # verbatim for repro-trace and offline reporting.
+        # verbatim for ``repro trace`` and offline reporting.
         phases=payload.get("phases"),
         # Optional response-time distributions (absent in files saved
         # before the latency observatory, or with capture off); the
-        # embedded sketches let repro-latency re-derive any quantile.
+        # embedded sketches let ``repro latency`` re-derive any quantile.
         latency=payload.get("latency"),
         # Optional dynamics-scenario payload (absent in every static
-        # figure file; present only for --dynamics runs); carries the
+        # figure file; present only for ``repro dynamics`` runs); carries the
         # fault seed and fault plan so a degradation curve is
         # replayable from the artifact alone.
         dynamics=payload.get("dynamics"))

@@ -15,7 +15,7 @@ multiprogramming level and reports, per (machine size, strategy) point:
 
 ``benchmarks/test_scaleup.py`` runs this with the fig-8a grid and emits
 ``BENCH_scaleup.json`` plus perf-ledger rows; the CLI exposes it as
-``repro-experiments --scaleup``.
+``repro scaleup``.
 
 Runs execute serially on purpose: each point's phase attribution must
 come from its own accumulator, and the P=1024 points dominate wall time
@@ -96,6 +96,26 @@ class ScaleupResult:
         """Total placement-build seconds across strategies at one size."""
         return sum(p.placement_build_seconds for p in self.points
                    if p.num_sites == num_sites)
+
+    def render(self) -> str:
+        """Throughput per strategy, build seconds and events/s per size."""
+        lines = [f"Scale-up (figure {self.figure}, "
+                 f"MPL {self.multiprogramming_level}):",
+                 f"{'sites':>8}"
+                 + "".join(f"{s:>10}" for s in self.strategies)
+                 + f"{'build(s)':>12}{'events/s':>12}"]
+        for num_sites in self.sites:
+            at_size = [p for p in self.points if p.num_sites == num_sites]
+            series = {p.strategy: p.result.throughput for p in at_size}
+            rates = [p.events_per_sec for p in at_size
+                     if p.events_per_sec > 0]
+            lines.append(
+                f"{num_sites:8d}"
+                + "".join(f"{series.get(s, float('nan')):10.1f}"
+                          for s in self.strategies)
+                + f"{self.placement_build_seconds(num_sites):12.2f}"
+                + f"{(sum(rates) / len(rates)) if rates else 0.0:12.0f}")
+        return "\n".join(lines)
 
     def to_json_dict(self) -> Dict:
         return {

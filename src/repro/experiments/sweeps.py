@@ -107,6 +107,21 @@ class SweepResult:
         den = dict(self.series(denominator))
         return [(v, num[v] / den[v]) for v in num if v in den and den[v]]
 
+    def render(self) -> str:
+        """Throughput table: one row per axis value, a column per strategy."""
+        strategies = sorted({p.strategy for p in self.points})
+        series = {s: dict(self.series(s)) for s in strategies}
+        lines = [f"Sweep over {self.axis} (figure {self.figure}, "
+                 f"MPL {self.multiprogramming_level}):",
+                 f"{'value':>12}" + "".join(f"{s:>12}" for s in strategies)]
+        for value in dict.fromkeys(p.value for p in self.points):
+            lines.append(f"{value:12g}" + "".join(
+                f"{series[s].get(value, float('nan')):12.1f}"
+                for s in strategies))
+        lines.append(f"(jobs {self.jobs}; {self.executed_runs} simulated, "
+                     f"{self.cached_runs} from cache)")
+        return "\n".join(lines)
+
 
 def run_point(config: ExperimentConfig, strategy_name: str,
               multiprogramming_level: int,
@@ -135,8 +150,17 @@ def sweep(axis: str, values: Sequence[float],
           measured_queries: int = 250,
           seed: int = 13,
           jobs: int = 1,
-          cache: Optional[ResultCache] = None) -> SweepResult:
-    """Run a (strategy x value) grid along one named axis."""
+          cache: Optional[ResultCache] = None,
+          num_sites: int = 32,
+          start_method: Optional[str] = None,
+          check_invariants: bool = False,
+          progress=None) -> SweepResult:
+    """Run a (strategy x value) grid along one named axis.
+
+    ``num_sites`` is the machine size wherever the axis does not set it;
+    the execution keywords mean what they mean for
+    :func:`~repro.experiments.runner.run_experiment`.
+    """
     try:
         sweep_axis = AXES[axis]
     except KeyError:
@@ -146,7 +170,7 @@ def sweep(axis: str, values: Sequence[float],
     labels: List[Tuple[float, str]] = []
     runs = []
     for value in values:
-        overrides = sweep_axis.apply(value)
+        overrides = {"num_sites": num_sites, **sweep_axis.apply(value)}
         for name in strategies:
             runs.append(compile_point(
                 config, name,
@@ -156,8 +180,10 @@ def sweep(axis: str, values: Sequence[float],
                 seed=seed, **overrides))
             labels.append((value, name))
 
-    executor = make_executor(jobs)
-    outcomes = executor.execute(RunPlan(runs=tuple(runs)), cache=cache)
+    executor = make_executor(jobs, start_method=start_method)
+    outcomes = executor.execute(RunPlan(runs=tuple(runs)), cache=cache,
+                                check_invariants=check_invariants,
+                                progress=progress)
 
     result = SweepResult(axis=axis, figure=figure,
                          multiprogramming_level=multiprogramming_level,

@@ -33,9 +33,9 @@ the layer lives beside it:
   status line or ``--progress jsonl`` machine stream, fed by run
   lifecycle events and parallel-worker heartbeats;
 * the Chrome-trace/Perfetto exporter in :mod:`~repro.obs.export`
-  (``repro-trace`` CLI) rendering both halves as Catapult JSON;
+  (``repro trace``) rendering both halves as Catapult JSON;
 * :mod:`~repro.obs.ledger` -- the append-only perf-regression ledger
-  behind ``repro-perf``, fed by every ``BENCH_*.json`` writer.
+  behind ``repro perf``, fed by every ``BENCH_*.json`` writer.
 """
 
 from .audit import (

@@ -17,11 +17,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import re
 from typing import Dict, Iterator, List, Optional
 
 from .registry import Counter, Gauge, Histogram, MetricsRegistry, Timeline
 from .spans import SpanLog
+from .summary import why_table
 
 __all__ = [
     "span_records",
@@ -37,6 +39,7 @@ __all__ = [
     "chrome_events_from_span_records",
     "validate_chrome_trace",
     "write_chrome_trace",
+    "write_run_artifacts",
 ]
 
 
@@ -87,6 +90,28 @@ def load_jsonl(path: str) -> List[Dict]:
             if line:
                 records.append(json.loads(line))
     return records
+
+
+def write_run_artifacts(out_dir: str, figure: str,
+                        telemetries: Dict) -> List[str]:
+    """Write ``spans.jsonl`` / ``metrics.jsonl`` / ``metrics.prom`` /
+    ``summary.txt`` per traced ``(strategy, mpl)`` run into *out_dir*;
+    returns one note per run written (latency-only runs are skipped)."""
+    os.makedirs(out_dir, exist_ok=True)
+    notes = []
+    for (strategy, mpl), telemetry in sorted(telemetries.items()):
+        if telemetry.spans is None:
+            continue
+        stem = os.path.join(out_dir, f"{figure}_{strategy}_mpl{mpl}")
+        spans = write_spans_jsonl(telemetry.spans, f"{stem}.spans.jsonl")
+        write_metrics_jsonl(telemetry.registry, f"{stem}.metrics.jsonl")
+        with open(f"{stem}.metrics.prom", "w") as handle:
+            handle.write(render_prometheus(telemetry.registry))
+        with open(f"{stem}.summary.txt", "w") as handle:
+            handle.write(why_table(telemetry.spans))
+        notes.append(f"(wrote {stem}.{{spans.jsonl,metrics.jsonl,"
+                     f"metrics.prom,summary.txt}}; {spans} spans)")
+    return notes
 
 
 # -- span replay -----------------------------------------------------------

@@ -5,7 +5,7 @@ overwrites it on the next run -- the 1.6x kernel win of one PR and the
 regression of the next both vanish into the same file.  The ledger
 keeps the history: one JSONL row per (run, metric), appended by the
 benchmark harnesses (:mod:`benchmarks.ledger` is the thin shim they
-import) and by CI, diffed and rendered by the ``repro-perf`` CLI.
+import) and by CI, diffed and rendered by ``repro perf``.
 
 Row schema (all rows, stable)::
 
@@ -39,6 +39,8 @@ __all__ = [
     "append_metrics",
     "read_ledger",
     "latest_diffs",
+    "regression_direction",
+    "regressions",
     "trend_table",
 ]
 
@@ -169,6 +171,30 @@ def latest_diffs(rows: Iterable[Dict[str, Any]]
                             if previous["value"] else None)
         diffs[metric] = entry
     return diffs
+
+
+def regression_direction(metric: str) -> int:
+    """Which way a metric regresses: +1 if bigger is worse, -1 if smaller.
+
+    Wall-clock metrics (any ``seconds`` name component, e.g.
+    ``smoke_wall_seconds`` or ``scaleup_placement_build_seconds_p1024``)
+    regress when they grow; rates, speedups and throughputs regress when
+    they shrink.
+    """
+    return 1 if "seconds" in metric.split("_") else -1
+
+
+def regressions(diffs: Dict[str, Dict[str, Any]],
+                threshold_pct: float = 10.0) -> List[str]:
+    """Metrics whose latest entry moved >threshold in the bad direction."""
+    out = []
+    for name, diff in diffs.items():
+        pct = diff.get("pct")
+        if pct is None:
+            continue
+        if pct * regression_direction(name) > threshold_pct:
+            out.append(name)
+    return sorted(out)
 
 
 def _fmt(value: Optional[float], suffix: str = "") -> str:

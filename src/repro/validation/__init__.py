@@ -19,7 +19,8 @@ Three layers of correctness tooling on top of the simulator:
   assertions (ordering, minimum gap, monotonicity up to saturation
   over the whole MPL series) generalizing the old single-point
   ``check_expectation``, rendered as a markdown conformance report by
-  the ``repro-validate`` CLI (:mod:`~repro.validation.cli`).
+  ``repro validate`` (:func:`validate_figure_result` is the per-figure
+  entry point it shares with the conformance suite).
 """
 
 from .checks import Check, CheckGroup, render_report
@@ -35,6 +36,7 @@ from .oracles import (
     degenerate_single_site_oracle,
     one_dimensional_magic_oracle,
     scaling_oracle,
+    validate_figure_result,
 )
 
 __all__ = [
@@ -51,4 +53,5 @@ __all__ = [
     "degenerate_single_site_oracle",
     "one_dimensional_magic_oracle",
     "scaling_oracle",
+    "validate_figure_result",
 ]

@@ -4,7 +4,7 @@ Every validation layer -- trend specs, differential oracles, the
 invariant checker summary -- reduces to a list of :class:`Check`
 records grouped into :class:`CheckGroup` sections.  One renderer
 (:func:`render_report`) turns any mix of them into the markdown
-conformance report ``repro-validate`` emits, so live runs, offline
+conformance report ``repro validate`` emits, so live runs, offline
 re-validations and CI smoke jobs all produce the same artifact shape.
 """
 

@@ -34,7 +34,7 @@ plausible-looking trends:
 from __future__ import annotations
 
 import random
-from typing import Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 from ..experiments.config import FIGURES, ExperimentConfig
 from ..experiments.plan import compile_point, execute_run, placement_for_spec
@@ -42,6 +42,7 @@ from ..gamma.params import GAMMA_PARAMETERS, SimulationParameters
 from ..workload.mixes import make_mix
 from ..workload.profiles import cost_of_participation, estimate_profile
 from .checks import CheckGroup
+from .trends import evaluate_trends
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..experiments.runner import FigureResult
@@ -52,6 +53,7 @@ __all__ = [
     "degenerate_single_site_oracle",
     "one_dimensional_magic_oracle",
     "scaling_oracle",
+    "validate_figure_result",
 ]
 
 #: Max allowed ratio (either way) between simulated MPL=1 response time
@@ -256,3 +258,18 @@ def scaling_oracle(figure: str = "12a", strategy: str = "range",
                   f"{big['QB'] / small['QB']:.2f}; clustered scan, "
                   f"positioning-dominated -- informational only)")
     return group
+
+
+def validate_figure_result(result: "FigureResult",
+                           params: SimulationParameters = GAMMA_PARAMETERS,
+                           cost_model: bool = True) -> List[CheckGroup]:
+    """Trend + cost-model check groups for one figure result.
+
+    Shared by ``repro validate``'s live and offline paths and the
+    conformance pytest suite: only placements are rebuilt, nothing is
+    simulated.
+    """
+    groups = [evaluate_trends(result)]
+    if cost_model:
+        groups.append(cost_model_oracle(result, params))
+    return groups

@@ -1,4 +1,4 @@
-"""Tests for the audit reports, the repro-audit CLI, and --audit wiring."""
+"""Tests for the audit reports, ``repro audit``, and --audit wiring."""
 
 import dataclasses
 import json
@@ -19,8 +19,7 @@ from repro.experiments import (
     save_figure_json,
     write_report,
 )
-from repro.experiments import audit_cli
-from repro.experiments.cli import build_parser, main
+from repro.cli import build_parser, main
 
 
 @pytest.fixture(scope="module")
@@ -98,7 +97,7 @@ class TestResultsV2Audit:
 
 class TestZeroPerturbation:
     def test_audit_flag_does_not_perturb_throughput(self, capsys, tmp_path):
-        base = ["--figure", "8a", "--cardinality", "3000",
+        base = ["figure", "8a", "--cardinality", "3000",
                 "--processors-count", "8", "--mpls", "1",
                 "--measured", "30", "--seed", "7"]
         plain_dir = tmp_path / "plain"
@@ -121,8 +120,8 @@ class TestZeroPerturbation:
 
 class TestOfflineCli:
     def test_no_arguments_prints_help(self, capsys):
-        assert audit_cli.main([]) == 2
-        assert "repro-audit" in capsys.readouterr().out
+        assert main(["audit"]) == 2
+        assert "repro audit" in capsys.readouterr().out
 
     def test_cached_run_audits_without_simulation(self, tiny_result,
                                                   tmp_path, monkeypatch,
@@ -136,8 +135,8 @@ class TestOfflineCli:
 
         monkeypatch.setattr("repro.experiments.plan.GammaMachine", Boom)
         out_dir = tmp_path / "reports"
-        code = audit_cli.main([path, "--out", str(out_dir),
-                               "--samples", "50", "--no-sensitivity"])
+        code = main(["audit", path, "--out", str(out_dir),
+                     "--samples", "50", "--no-sensitivity"])
         assert code == 0
         assert os.path.getsize(out_dir / "audit_8a.md") > 0
         assert os.path.getsize(out_dir / "audit_8a.html") > 0
@@ -145,11 +144,11 @@ class TestOfflineCli:
 
     def test_static_figure_audit(self, tmp_path, capsys):
         out_dir = tmp_path / "static"
-        code = audit_cli.main(["--figure", "8a",
-                               "--cardinality", "2000",
-                               "--processors-count", "8",
-                               "--samples", "40", "--no-sensitivity",
-                               "--out", str(out_dir)])
+        code = main(["audit", "--figure", "8a",
+                     "--cardinality", "2000",
+                     "--processors-count", "8",
+                     "--samples", "40", "--no-sensitivity",
+                     "--out", str(out_dir)])
         assert code == 0
         text = (out_dir / "audit_8a.md").read_text()
         assert "Placement audit: figure 8a" in text
@@ -158,15 +157,15 @@ class TestOfflineCli:
 
 class TestExplainTopK:
     def test_parser_default(self):
-        args = build_parser().parse_args(["--explain", "8a"])
-        assert args.explain_top_k == 5
+        args = build_parser().parse_args(["explain", "--figure", "8a"])
+        assert args.top_k == 5
 
     def test_top_k_truncates_why_tables(self, capsys):
-        code = main(["--explain", "8a", "--explain-mpl", "2",
+        code = main(["explain", "--figure", "8a", "--mpl", "2",
                      "--cardinality", "6000",
                      "--processors-count", "4",
                      "--measured", "30",
-                     "--explain-top-k", "1"])
+                     "--top-k", "1"])
         assert code == 0
         out = capsys.readouterr().out
         # 3 strategies x 2 query types, one resource row each.

@@ -14,7 +14,7 @@ from repro.experiments import (
     rebalance_worst_case,
     run_experiment,
 )
-from repro.experiments.cli import build_parser, main
+from repro.cli import build_parser, main
 from repro.experiments.runner import FigureResult
 
 
@@ -117,7 +117,7 @@ class TestRebalanceWorstCase:
 
 class TestCli:
     def test_parser_accepts_figures(self):
-        args = build_parser().parse_args(["--figure", "8a", "--quick"])
+        args = build_parser().parse_args(["figure", "8a", "--quick"])
         assert args.figure == "8a"
         assert args.quick
 
@@ -125,16 +125,17 @@ class TestCli:
         assert main([]) == 2
 
     def test_rebalance_action(self, capsys):
-        assert main(["--rebalance"]) == 0
+        assert main(["rebalance"]) == 0
         out = capsys.readouterr().out
         assert "Section 4" in out
 
     def test_sweep_requires_values(self, capsys):
-        assert main(["--sweep", "processors"]) == 2
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "processors"])
+        assert exit_info.value.code == 2
 
     def test_sweep_action(self, capsys):
-        code = main(["--sweep", "cpu_mips",
-                     "--sweep-values", "3000000",
+        code = main(["sweep", "cpu_mips", "3000000",
                      "--quick", "--cardinality", "10000",
                      "--processors-count", "4"])
         assert code == 0
@@ -147,13 +148,13 @@ class TestCli:
                                 num_sites=4, measured_queries=40,
                                 mpls=(1,), seed=5)
         save_figure_json(result, str(tmp_path / "figure_8a.json"))
-        assert main(["--report", str(tmp_path)]) == 0
+        assert main(["report", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "Fig 8a" in out
 
     def test_save_json_flag(self, capsys, tmp_path):
         import os
-        code = main(["--figure", "8a", "--quick",
+        code = main(["figure", "8a", "--quick",
                      "--cardinality", "10000",
                      "--processors-count", "4",
                      "--save-json", str(tmp_path)])
@@ -164,7 +165,7 @@ class TestCli:
 class TestCliTelemetry:
     def test_trace_writes_artifacts(self, capsys, tmp_path):
         import os
-        code = main(["--figure", "8a", "--trace",
+        code = main(["figure", "8a", "--trace",
                      "--metrics-out", str(tmp_path),
                      "--cardinality", "10000",
                      "--processors-count", "4",
@@ -187,7 +188,7 @@ class TestCliTelemetry:
     def test_untraced_run_writes_nothing(self, capsys, tmp_path):
         import os
         out_dir = tmp_path / "never"
-        code = main(["--figure", "8a",
+        code = main(["figure", "8a",
                      "--cardinality", "10000",
                      "--processors-count", "4",
                      "--mpls", "2", "--measured", "30"])
@@ -195,7 +196,7 @@ class TestCliTelemetry:
         assert not os.path.exists(out_dir)
 
     def test_explain_prints_breakdown(self, capsys):
-        code = main(["--explain", "8a", "--explain-mpl", "4",
+        code = main(["explain", "--figure", "8a", "--mpl", "4",
                      "--cardinality", "10000",
                      "--processors-count", "4",
                      "--measured", "30"])

@@ -31,7 +31,7 @@ from repro.experiments.latency import (
     latency_table,
     recorders_from_payload,
 )
-from repro.experiments.latency_cli import main as latency_main
+from repro.cli import main
 from repro.gamma import GammaMachine
 from repro.obs import Telemetry, TelemetrySpec
 from repro.storage import make_wisconsin
@@ -187,7 +187,7 @@ class TestLatencyCli:
         return str(path)
 
     def test_offline_budget_table(self, saved, capsys):
-        assert latency_main([saved]) == 0
+        assert main(["latency", saved]) == 0
         out = capsys.readouterr().out
         assert "latency budget" in out
         assert "strategy range" in out
@@ -196,12 +196,12 @@ class TestLatencyCli:
         dark = run_experiment(FIGURES["8a"], **TINY)
         path = tmp_path / "dark.json"
         path.write_text(json.dumps(figure_to_dict(dark)))
-        assert latency_main([str(path)]) == 0
+        assert main(["latency", str(path)]) == 0
         assert "no latency payload" in capsys.readouterr().out
 
     def test_no_mode_prints_help(self, capsys):
-        assert latency_main([]) == 2
-        assert "repro-latency" in capsys.readouterr().out
+        assert main(["latency"]) == 2
+        assert "repro latency" in capsys.readouterr().out
 
     def test_spans_mode_prints_critical_paths(self, tmp_path, capsys):
         records = [
@@ -213,14 +213,14 @@ class TestLatencyCli:
         ]
         path = tmp_path / "run.spans.jsonl"
         path.write_text("".join(json.dumps(r) + "\n" for r in records))
-        assert latency_main(["--spans", str(path)]) == 0
+        assert main(["latency", "--spans", str(path)]) == 0
         out = capsys.readouterr().out
         assert "critical paths from" in out
         assert "node.disk" in out
 
     def test_out_file_written(self, saved, tmp_path, capsys):
         out_path = tmp_path / "report.txt"
-        assert latency_main([saved, "--out", str(out_path)]) == 0
+        assert main(["latency", saved, "--out", str(out_path)]) == 0
         capsys.readouterr()
         assert "latency budget" in out_path.read_text()
 

@@ -1,12 +1,13 @@
-"""CLI coverage for ``repro-profile`` (--json payload, --sort orders)."""
+"""CLI coverage for ``repro profile`` (--json payload, --sort orders)."""
 
 import json
 
 import pytest
 
-from repro.experiments.profile_cli import build_parser, main, profile_point
+from repro.cli import build_parser, main
+from repro.experiments.profile import profile_point
 
-TINY = ["--cardinality", "2000", "--processors-count", "4",
+TINY = ["profile", "--cardinality", "2000", "--processors-count", "4",
         "--measured", "5", "--mpl", "2"]
 
 
@@ -22,7 +23,7 @@ class TestProfilePoint:
 
 class TestCli:
     def test_default_sort_is_tottime(self):
-        assert build_parser().parse_args([]).sort == "tottime"
+        assert build_parser().parse_args(["profile"]).sort == "tottime"
 
     def test_header_reports_wall_seconds(self, capsys):
         assert main(TINY) == 0

@@ -3,7 +3,7 @@
 The acceptance bar is structural: a trace built from real phase spans
 and real simulated-time span records must pass
 :func:`~repro.obs.export.validate_chrome_trace` -- the same checks the
-``repro-trace`` CLI refuses to write a file without -- and load back as
+``repro trace`` refuses to write a file without -- and load back as
 valid JSON with one process track per worker pid.
 """
 
@@ -21,7 +21,7 @@ from repro.obs import (
     write_chrome_trace,
 )
 from repro.obs.export import span_records, write_spans_jsonl
-from repro.obs.trace_cli import main as trace_main
+from repro.cli import main
 
 TINY = dict(cardinality=2_000, num_sites=4, measured_queries=5,
             mpls=(1,), seed=13, strategies=("range",))
@@ -108,8 +108,8 @@ class TestTraceCli:
         write_spans_jsonl(telemetry.spans, spans_path)
 
         out = str(tmp_path / "trace.json")
-        assert trace_main(["--results", results_path,
-                           "--spans", spans_path, "--out", out]) == 0
+        assert main(["trace", results_path,
+                     "--spans", spans_path, "--out", out]) == 0
         with open(out) as handle:
             payload = json.load(handle)
         assert validate_chrome_trace(payload) == []
@@ -120,7 +120,7 @@ class TestTraceCli:
         assert len(payload["traceEvents"]) > 10
 
     def test_no_inputs_is_an_error(self, tmp_path):
-        assert trace_main(["--out", str(tmp_path / "t.json")]) == 2
+        assert main(["trace", "--out", str(tmp_path / "t.json")]) == 2
 
     def test_write_chrome_trace_returns_event_count(self, tmp_path):
         payload = chrome_trace([{"name": "x", "ph": "X", "pid": 0,

@@ -4,18 +4,16 @@ import json
 
 import pytest
 
+from repro.cli import main
 from repro.obs.ledger import (
     append_metrics,
     git_sha,
     host_fingerprint,
     latest_diffs,
     read_ledger,
-    trend_table,
-)
-from repro.obs.perf_cli import (
-    main as perf_main,
     regression_direction,
     regressions,
+    trend_table,
 )
 
 
@@ -120,10 +118,10 @@ class TestDiffAndTrend:
 
 class TestPerfCli:
     def test_append_and_render(self, ledger, capsys):
-        assert perf_main(["--ledger", ledger,
-                          "--append", "speedup=1.5"]) == 0
-        assert perf_main(["--ledger", ledger,
-                          "--append", "speedup=1.8"]) == 0
+        assert main(["perf", "--ledger", ledger,
+                     "--append", "speedup=1.5"]) == 0
+        assert main(["perf", "--ledger", ledger,
+                     "--append", "speedup=1.8"]) == 0
         out = capsys.readouterr().out
         assert "### speedup" in out
         rows, _ = read_ledger(ledger)
@@ -131,19 +129,19 @@ class TestPerfCli:
         assert all(r["benchmark"] == "manual" for r in rows)
 
     def test_out_file(self, ledger, tmp_path):
-        perf_main(["--ledger", ledger, "--append", "x=1"])
+        main(["perf", "--ledger", ledger, "--append", "x=1"])
         out = str(tmp_path / "trend.md")
-        assert perf_main(["--ledger", ledger, "--out", out]) == 0
+        assert main(["perf", "--ledger", ledger, "--out", out]) == 0
         with open(out) as handle:
             assert "### x" in handle.read()
 
     def test_empty_ledger_still_exits_zero(self, ledger, capsys):
-        assert perf_main(["--ledger", ledger]) == 0
+        assert main(["perf", "--ledger", ledger]) == 0
         assert "empty" in capsys.readouterr().out
 
     def test_bad_append_spec_rejected(self, ledger, capsys):
         with pytest.raises(SystemExit):
-            perf_main(["--ledger", ledger, "--append", "not-a-pair"])
+            main(["perf", "--ledger", ledger, "--append", "not-a-pair"])
 
 
 class TestRegressionDirection:
@@ -175,9 +173,9 @@ class TestRegressionDirection:
         assert regressions(latest_diffs(rows)) == ["eps"]
 
     def test_cli_note_is_direction_aware(self, ledger, capsys):
-        perf_main(["--ledger", ledger, "--append", "wall_seconds=10"])
+        main(["perf", "--ledger", ledger, "--append", "wall_seconds=10"])
         capsys.readouterr()
-        perf_main(["--ledger", ledger, "--append", "wall_seconds=20"])
+        main(["perf", "--ledger", ledger, "--append", "wall_seconds=20"])
         err = capsys.readouterr().err
         assert "regression" in err
         assert "wall_seconds" in err
@@ -185,24 +183,24 @@ class TestRegressionDirection:
 
 class TestStrictMode:
     def test_strict_exits_one_on_regression(self, ledger, capsys):
-        perf_main(["--ledger", ledger, "--append", "wall_seconds=10"])
+        main(["perf", "--ledger", ledger, "--append", "wall_seconds=10"])
         capsys.readouterr()
-        assert perf_main(["--ledger", ledger, "--strict",
-                          "--append", "wall_seconds=20"]) == 1
+        assert main(["perf", "--ledger", ledger, "--strict",
+                     "--append", "wall_seconds=20"]) == 1
         assert "regression" in capsys.readouterr().err
 
     def test_without_strict_regression_still_exits_zero(self, ledger,
                                                         capsys):
-        perf_main(["--ledger", ledger, "--append", "wall_seconds=10"])
-        assert perf_main(["--ledger", ledger,
-                          "--append", "wall_seconds=20"]) == 0
+        main(["perf", "--ledger", ledger, "--append", "wall_seconds=10"])
+        assert main(["perf", "--ledger", ledger,
+                     "--append", "wall_seconds=20"]) == 0
         assert "regression" in capsys.readouterr().err
 
     def test_strict_without_regression_exits_zero(self, ledger, capsys):
-        perf_main(["--ledger", ledger, "--append", "wall_seconds=20"])
-        assert perf_main(["--ledger", ledger, "--strict",
-                          "--append", "wall_seconds=10"]) == 0
+        main(["perf", "--ledger", ledger, "--append", "wall_seconds=20"])
+        assert main(["perf", "--ledger", ledger, "--strict",
+                     "--append", "wall_seconds=10"]) == 0
         assert "regression" not in capsys.readouterr().err
 
     def test_strict_on_empty_ledger_exits_zero(self, ledger):
-        assert perf_main(["--ledger", ledger, "--strict"]) == 0
+        assert main(["perf", "--ledger", ledger, "--strict"]) == 0

@@ -47,8 +47,7 @@ class TestPackageSurface:
         import tomllib  # py311+; test env guarantees it
         with open("pyproject.toml", "rb") as handle:
             config = tomllib.load(handle)
-        scripts = config["project"]["scripts"]
-        assert scripts["repro-experiments"] == "repro.experiments.cli:main"
+        assert config["project"]["scripts"] == {"repro": "repro.cli:main"}
 
     def test_py_typed_marker_present(self):
         import os

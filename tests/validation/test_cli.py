@@ -1,4 +1,4 @@
-"""repro-validate CLI: argument handling and the offline path.
+"""``repro validate``: argument handling and the offline path.
 
 Live-mode coverage (which simulates a whole tiny figure) lives in the
 tier-2 conformance suite (``pytest -m conformance``).
@@ -10,7 +10,7 @@ from repro.experiments.config import FIGURES
 from repro.experiments.results_io import save_figure_json
 from repro.experiments.runner import FigureResult
 from repro.gamma import RunResult
-from repro.validation.cli import build_parser, main
+from repro.cli import build_parser, main
 
 
 def _run(mpl, throughput):
@@ -38,7 +38,7 @@ CONFORMING = {
 
 class TestParser:
     def test_defaults(self):
-        args = build_parser().parse_args(["--figure", "8a"])
+        args = build_parser().parse_args(["validate", "--figure", "8a"])
         assert args.figure == "8a"
         assert args.cardinality == 8000
         assert args.num_sites == 16
@@ -47,10 +47,10 @@ class TestParser:
 
     def test_unknown_figure_rejected(self):
         with pytest.raises(SystemExit):
-            build_parser().parse_args(["--figure", "99z"])
+            build_parser().parse_args(["validate", "--figure", "99z"])
 
     def test_no_inputs_is_usage_error(self, capsys):
-        assert main([]) == 2
+        assert main(["validate"]) == 2
         assert "usage" in capsys.readouterr().out.lower()
 
 
@@ -58,7 +58,8 @@ class TestOfflineValidation:
     def test_conforming_results_pass(self, tmp_path, capsys):
         path = _saved_figure(tmp_path, CONFORMING)
         report_path = tmp_path / "report.md"
-        code = main([path, "--no-cost-model", "--out", str(report_path)])
+        code = main(["validate", path, "--no-cost-model",
+                     "--out", str(report_path)])
         assert code == 0
         report = report_path.read_text()
         assert report.startswith("# Conformance report")
@@ -71,7 +72,8 @@ class TestOfflineValidation:
         # Range partitioning wins: the paper's figure-8a claim is broken.
         series = dict(CONFORMING,
                       range=[(1, 29.0), (8, 300.0), (24, 600.0)])
-        code = main([_saved_figure(tmp_path, series), "--no-cost-model"])
+        code = main(["validate", _saved_figure(tmp_path, series),
+                     "--no-cost-model"])
         assert code == 1
         assert "**FAIL**" in capsys.readouterr().out
 
@@ -79,6 +81,6 @@ class TestOfflineValidation:
         # Without an MPL=1 point the oracle reports, and fails, the
         # missing series rather than passing vacuously.
         series = {s: pts[1:] for s, pts in CONFORMING.items()}
-        code = main([_saved_figure(tmp_path, series)])
+        code = main(["validate", _saved_figure(tmp_path, series)])
         assert code == 1
         assert "mpl1-series" in capsys.readouterr().out

@@ -3,7 +3,7 @@
 These tests simulate whole tiny figures and run the differential
 oracles, so they take tens of seconds; tier-1 excludes them via the
 default ``-m "not conformance"`` addopts.  The configuration mirrors
-the CI ``conformance-smoke`` job and the ``repro-validate`` defaults:
+the CI ``conformance-smoke`` job and the ``repro validate`` defaults:
 8000 tuples on 16 processors is the smallest machine on which the
 paper's figure-8a ordering emerges.
 """
@@ -20,7 +20,7 @@ from repro.validation import (
     one_dimensional_magic_oracle,
     scaling_oracle,
 )
-from repro.validation.cli import main
+from repro.cli import main
 
 pytestmark = pytest.mark.conformance
 
@@ -56,7 +56,7 @@ class TestFigureConformance:
         path = tmp_path / "fig8a.json"
         save_figure_json(tiny_8a, str(path))
         report = tmp_path / "report.md"
-        assert main([str(path), "--out", str(report)]) == 0
+        assert main(["validate", str(path), "--out", str(report)]) == 0
         assert "**PASS**" in report.read_text()
         capsys.readouterr()
 
