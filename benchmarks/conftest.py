@@ -16,7 +16,8 @@ import os
 
 import pytest
 
-from repro.experiments import FIGURES, format_figure, run_experiment
+from repro.experiments import (FIGURES, figure_document, render_markdown,
+                               run_experiment)
 
 FULL = os.environ.get("REPRO_BENCH_FULL", "") not in ("", "0")
 
@@ -38,7 +39,7 @@ def regenerate(figure_name, benchmark):
 
     result = benchmark.pedantic(run, rounds=1, iterations=1)
     print()
-    print(format_figure(result))
+    print(render_markdown(figure_document(result)))
     for strategy, runs in result.series.items():
         benchmark.extra_info[f"{strategy}_final_qps"] = round(
             runs[-1].throughput, 1)

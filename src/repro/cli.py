@@ -27,9 +27,9 @@ from .dynamics.runner import (DYNAMICS_SCENARIOS, DYNAMICS_STRATEGIES,
 from .experiments import (AXES, FIGURES, SCALEUP_SITES, ResultCache,
                           audit_payload, average_processors_table,
                           build_audit_report, build_static_report,
-                          explain_figure, format_figure,
-                          format_processor_table, load_figure_json,
-                          plot_figure, rebalance_worst_case,
+                          explain_figure, figure_document, load_figure_json,
+                          plot_figure, processor_document,
+                          rebalance_worst_case, render_markdown,
                           report_from_directory, run_experiment,
                           run_scaleup, save_figure_json, sweep, write_report)
 from .experiments.latency import latency_table, traced_latency_report
@@ -415,7 +415,7 @@ def _load(loader, path: str):
     """Read one input file, turning a bad file into a usage error."""
     try:
         return loader(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         raise CommandError(f"cannot read {path}: {exc!s}") from None
 
 
@@ -465,7 +465,7 @@ def _cmd_figure(args) -> int:
                     report, args.audit_out or "audit-reports")
                 blocks.append(f"(audit: wrote {md_path} and {html_path}; "
                               f"digest {report.digest})")
-            blocks.append(format_figure(result))
+            blocks.append(render_markdown(figure_document(result)))
             if args.metrics_out:
                 blocks += write_run_artifacts(args.metrics_out, name,
                                               result.telemetries)
@@ -566,7 +566,7 @@ def _cmd_processors(args) -> int:
         table = average_processors_table(
             FIGURES[name], cardinality=args.cardinality,
             num_sites=args.num_sites, seed=args.seed)
-        print(format_processor_table(FIGURES[name], table) + "\n")
+        print(render_markdown(processor_document(FIGURES[name], table)))
     return 0
 
 

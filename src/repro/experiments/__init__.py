@@ -12,11 +12,12 @@
   cache that makes interrupted sweeps resumable (``--cache DIR``);
 * :mod:`~repro.experiments.runner` -- strategy x mix x correlation x MPL
   figure sweeps on the Gamma machine model;
-* :mod:`~repro.experiments.report` -- text tables, §7 processor-count
-  numbers, the §4 rebalancing worst case;
-* :mod:`~repro.experiments.audit_report` -- placement-quality audit
-  reports (markdown + self-contained HTML) fusing the static
-  :mod:`repro.obs.audit` metrics with runtime telemetry;
+* :mod:`~repro.experiments.report` -- every report (figure, §7
+  processor counts, placement-quality audit) as one list of blocks with
+  a markdown and a self-contained HTML back end; the audit fuses the
+  static :mod:`repro.obs.audit` metrics with runtime telemetry;
+* :mod:`~repro.experiments.paper_numbers` -- the §7 processor counts
+  and the §4 rebalancing worst case;
 * :mod:`~repro.experiments.profile` -- cProfile of one simulated point.
 
 The command line over all of it is ``repro`` (:mod:`repro.cli`):
@@ -24,12 +25,6 @@ The command line over all of it is ``repro`` (:mod:`repro.cli`):
 subcommands call the functions exported here.
 """
 
-from .markdown import (
-    figure_section,
-    report_from_directory,
-    scoreboard_row,
-    series_table,
-)
 from .plot import ascii_plot, plot_figure
 from .results_io import (
     figure_from_dict,
@@ -39,8 +34,7 @@ from .results_io import (
     save_figure_json,
 )
 from .cache import ResultCache
-from .config import (ATTR_A, ATTR_B, DEFAULT_MPLS, SCALEUP_SITES,
-                     ExperimentConfig, FIGURES)
+from .config import ATTR_A, ATTR_B, SCALEUP_SITES, ExperimentConfig, FIGURES
 from .executor import (
     ExecutionOutcome,
     ParallelExecutor,
@@ -61,22 +55,21 @@ from .plan import (
     params_fingerprint,
     prewarm,
 )
+from .paper_numbers import average_processors_table, rebalance_worst_case
 from .report import (
-    average_processors_table,
-    format_figure,
-    format_processor_table,
-    rebalance_worst_case,
-)
-from .sweeps import AXES, SweepAxis, SweepPoint, SweepResult, sweep
-from .audit_report import (
     AuditReport,
+    audit_document,
     audit_payload,
     build_audit_report,
     build_static_report,
+    figure_document,
+    processor_document,
     render_html,
     render_markdown,
+    report_from_directory,
     write_report,
 )
+from .sweeps import AXES, SweepResult, sweep
 from .explain import ExplainResult, explain_figure
 from .scaleup import ScaleupPoint, ScaleupResult, run_scaleup
 from .runner import (
@@ -89,7 +82,6 @@ from .runner import (
 __all__ = [
     "ExperimentConfig",
     "FIGURES",
-    "DEFAULT_MPLS",
     "SCALEUP_SITES",
     "ATTR_A",
     "ATTR_B",
@@ -116,9 +108,7 @@ __all__ = [
     "build_strategy",
     "run_experiment",
     "check_expectation",
-    "format_figure",
     "average_processors_table",
-    "format_processor_table",
     "rebalance_worst_case",
     "ascii_plot",
     "plot_figure",
@@ -128,22 +118,20 @@ __all__ = [
     "load_figure_json",
     "figure_to_csv",
     "sweep",
-    "SweepAxis",
-    "SweepPoint",
     "SweepResult",
     "AXES",
-    "scoreboard_row",
-    "series_table",
-    "figure_section",
-    "report_from_directory",
     "ExplainResult",
     "explain_figure",
     "TelemetryFactory",
+    "render_markdown",
+    "render_html",
+    "figure_document",
+    "report_from_directory",
+    "processor_document",
     "AuditReport",
     "build_audit_report",
     "build_static_report",
     "audit_payload",
-    "render_markdown",
-    "render_html",
+    "audit_document",
     "write_report",
 ]

@@ -6,8 +6,9 @@ When a figure runs with latency capture on (``--latency`` or any
 :class:`~repro.obs.sketch.LatencyRecorder` on its detached telemetry.
 This module folds those per-run sketches into the JSON payload stored
 under the optional ``latency`` key of results-v2 files (older files and
-files saved without capture simply lack the key) and renders the
-latency-budget tables the figure reports and ``repro latency`` print.
+files saved without capture simply lack the key) and renders the full
+latency table ``repro latency`` prints; the figure and audit reports'
+compact budget is :func:`~repro.experiments.report.latency_budget`.
 
 Payload schema (all times in simulated seconds)::
 
@@ -44,8 +45,8 @@ from .config import FIGURES
 from .executor import make_executor
 from .plan import compile_figure
 
-__all__ = ["latency_payload", "latency_table", "latency_budget_lines",
-           "recorders_from_payload", "traced_latency_report"]
+__all__ = ["latency_payload", "latency_table", "recorders_from_payload",
+           "traced_latency_report"]
 
 
 def latency_payload(telemetries: Dict[Tuple[str, int], object],
@@ -152,30 +153,6 @@ def latency_table(payload: Dict, mpls: Optional[Iterable[int]] = None,
             lines.append(_row("all mpls (all types)", merged["overall"],
                               indent="    "))
     return "\n".join(lines) + "\n"
-
-
-def latency_budget_lines(payload: Dict) -> List[str]:
-    """The compact latency-budget block for figure reports.
-
-    Per strategy: the overall distribution at the *highest* captured
-    MPL (the point where the paper states its claims and where tails
-    diverge the most), one line per strategy.
-    """
-    lines: List[str] = [
-        f"Latency budget at the highest captured MPL "
-        f"(p50/p95/p99/max ms, "
-        f"+/-{payload['relative_accuracy']:.0%} relative):"]
-    for strategy, entries in sorted(payload.get("points", {}).items()):
-        last = entries[-1]
-        summary = last["overall"]
-        quantiles = "/".join(
-            f"{summary[f'p{int(q * 100)}'] * 1000:.1f}" for q in QUANTILES)
-        lines.append(
-            f"  {strategy:<8} mpl {last['mpl']:>3}: "
-            f"{quantiles}/{summary['max'] * 1000:.1f} ms "
-            f"over {int(summary['count'])} queries "
-            f"(mean {summary['mean'] * 1000:.1f} ms)")
-    return lines
 
 
 def traced_latency_report(figure: str, mpls: Sequence[int] = (16,),

@@ -84,12 +84,17 @@ def figure_from_dict(payload: Dict) -> FigureResult:
     version = payload.get("format_version")
     if version not in SUPPORTED_VERSIONS:
         raise ValueError(f"unsupported results format {version!r}")
-    figure = payload["figure"]
+    figure = payload.get("figure")
+    if figure not in FIGURES:
+        raise ValueError(f"unknown figure {figure!r} in results file")
     try:
-        config: ExperimentConfig = FIGURES[figure]
-    except KeyError:
-        raise ValueError(f"unknown figure {figure!r} in results file") \
-            from None
+        return _figure_from_payload(FIGURES[figure], payload)
+    except KeyError as exc:
+        raise ValueError(f"results file lacks the {exc} key") from None
+
+
+def _figure_from_payload(config: ExperimentConfig,
+                         payload: Dict) -> FigureResult:
     executor = payload.get("executor", {})
     result = FigureResult(
         config=config,

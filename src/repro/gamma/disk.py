@@ -69,7 +69,7 @@ class Disk:
         self._reads = registry.counter(f"{metric_prefix}.reads")
         self._writes = registry.counter(f"{metric_prefix}.writes")
         self._pages = registry.counter(f"{metric_prefix}.pages")
-        self._wait_hist = registry.histogram(f"{metric_prefix}.wait_seconds")
+        self._wait_hist = registry.sketch(f"{metric_prefix}.wait_seconds")
         self._rng = random.Random(seed)
         self._pending: List[DiskRequest] = []
         self._arrival: Optional[Event] = None
@@ -157,7 +157,7 @@ class Disk:
         start = self.env.now
         queue_wait = start - request.enqueued_at
         self.wait_times.record(queue_wait)
-        self._wait_hist.observe(queue_wait)
+        self._wait_hist.record(queue_wait)
 
         distance = abs(request.cylinder - self._current_cylinder)
         repositioning = not (request.sequential and distance == 0)

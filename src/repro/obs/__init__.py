@@ -5,7 +5,7 @@ throughput curve by naming the saturated resource; this package makes
 those explanations reproducible from a run:
 
 * :mod:`~repro.obs.registry` -- hierarchical Counter / Gauge /
-  Histogram / Timeline instruments (``node.3.disk.reads``);
+  LatencySketch / Timeline instruments (``node.3.disk.reads``);
 * :mod:`~repro.obs.spans` -- per-query span trees with queue-wait vs.
   service-time per resource, stored in the bounded
   :class:`~repro.des.trace.Tracer`;
@@ -39,13 +39,10 @@ the layer lives beside it:
 """
 
 from .audit import (
-    FanoutStats,
     PlacementAudit,
     SkewStats,
-    SliceSpread,
     audit_digest,
     audit_placement,
-    fanout_stats,
     fragment_counts,
     gini_coefficient,
     skew_stats,
@@ -68,9 +65,6 @@ from .export import (
 )
 from . import phases
 from .critpath import (
-    CriticalPath,
-    CritPathSummary,
-    PathSegment,
     chrome_events_from_critical_path,
     critical_paths,
     critpath_table,
@@ -78,41 +72,22 @@ from .critpath import (
 )
 from .ledger import append_metrics, read_ledger, trend_table
 from .phases import PhaseAccumulator
-from .progress import (
-    NULL_PROGRESS,
-    NullProgress,
-    ProgressTracker,
-    read_progress_jsonl,
-)
-from .registry import (
-    Counter,
-    DEFAULT_BUCKETS,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-    Timeline,
-)
+from .progress import NULL_PROGRESS, ProgressTracker, read_progress_jsonl
+from .registry import Counter, MetricsRegistry, NULL_REGISTRY, NullRegistry
 from .sampler import TimelineSampler
 from .sketch import QUANTILES, LatencyRecorder, LatencySketch
 from .spans import SPAN_KIND, QueryTrace, Span, SpanLog, UnknownQueryError
 from .summary import dominant_resource, resource_breakdown, why_table
-from .telemetry import NULL_TELEMETRY, NullTelemetry, Telemetry, TelemetrySpec
+from .telemetry import NULL_TELEMETRY, Telemetry, TelemetrySpec
 
 __all__ = [
     "Telemetry",
     "TelemetrySpec",
-    "NullTelemetry",
     "NULL_TELEMETRY",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
     "Counter",
-    "Gauge",
-    "Histogram",
-    "Timeline",
-    "DEFAULT_BUCKETS",
     "Span",
     "QueryTrace",
     "SpanLog",
@@ -121,9 +96,6 @@ __all__ = [
     "LatencySketch",
     "LatencyRecorder",
     "QUANTILES",
-    "PathSegment",
-    "CriticalPath",
-    "CritPathSummary",
     "critical_paths",
     "summarize_critical_paths",
     "critpath_table",
@@ -142,19 +114,15 @@ __all__ = [
     "resource_breakdown",
     "PlacementAudit",
     "SkewStats",
-    "SliceSpread",
-    "FanoutStats",
     "audit_placement",
     "audit_digest",
     "skew_stats",
     "gini_coefficient",
     "fragment_counts",
     "slice_spreads",
-    "fanout_stats",
     "phases",
     "PhaseAccumulator",
     "ProgressTracker",
-    "NullProgress",
     "NULL_PROGRESS",
     "read_progress_jsonl",
     "chrome_trace",

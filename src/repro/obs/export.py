@@ -6,7 +6,8 @@ Artifacts written for one run:
   parent id, name, interval, wait/service attributes);
 * ``metrics.jsonl`` -- one JSON object per registry instrument;
 * ``metrics.prom`` -- the registry in the Prometheus text exposition
-  format (timelines are rendered as their last sample).
+  format (timelines are rendered as their last sample, sketches as
+  summaries).
 
 The module also re-reads its own span dumps (:func:`load_jsonl`,
 :func:`build_span_forest`, :func:`validate_span_forest`) so a test can
@@ -21,7 +22,8 @@ import os
 import re
 from typing import Dict, Iterator, List, Optional
 
-from .registry import Counter, Gauge, Histogram, MetricsRegistry, Timeline
+from .registry import Counter, Gauge, MetricsRegistry, Timeline
+from .sketch import QUANTILES, LatencySketch
 from .spans import SpanLog
 from .summary import why_table
 
@@ -55,8 +57,11 @@ def span_records(log: SpanLog) -> Iterator[Dict]:
 
 def metric_records(registry: MetricsRegistry) -> Iterator[Dict]:
     """Every registry instrument as a JSON-serializable dictionary."""
-    for metric in registry:
-        yield metric.as_dict()
+    for name, metric in registry.items():
+        if isinstance(metric, LatencySketch):
+            yield {"name": name, "type": "summary", **metric.to_dict()}
+        else:
+            yield metric.as_dict()
 
 
 def write_spans_jsonl(log: SpanLog, path: str) -> int:
@@ -326,8 +331,8 @@ def render_prometheus(registry: MetricsRegistry,
                       prefix: str = "repro_") -> str:
     """The registry in the Prometheus text exposition format."""
     lines: List[str] = []
-    for metric in registry:
-        name = prefix + _prom_name(metric.name)
+    for raw_name, metric in registry.items():
+        name = prefix + _prom_name(raw_name)
         if isinstance(metric, Counter):
             lines.append(f"# TYPE {name} counter")
             lines.append(f"{name} {_prom_value(metric.value)}")
@@ -338,11 +343,11 @@ def render_prometheus(registry: MetricsRegistry,
         elif isinstance(metric, Gauge):
             lines.append(f"# TYPE {name} gauge")
             lines.append(f"{name} {_prom_value(metric.value)}")
-        elif isinstance(metric, Histogram):
-            lines.append(f"# TYPE {name} histogram")
-            for le, count in zip(metric.bounds, metric.bucket_counts):
-                lines.append(f'{name}_bucket{{le="{le:g}"}} {count}')
-            lines.append(f'{name}_bucket{{le="+Inf"}} {metric.count}')
+        elif isinstance(metric, LatencySketch):
+            lines.append(f"# TYPE {name} summary")
+            for q in QUANTILES:
+                lines.append(f'{name}{{quantile="{q:g}"}} '
+                             f"{_prom_value(metric.quantile(q))}")
             lines.append(f"{name}_sum {_prom_value(metric.total)}")
             lines.append(f"{name}_count {metric.count}")
     return "\n".join(lines) + ("\n" if lines else "")

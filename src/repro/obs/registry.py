@@ -7,8 +7,8 @@ own behavior:
   messages sent);
 * :class:`Gauge` -- a point-in-time level (queue length, in-flight
   queries);
-* :class:`Histogram` -- a distribution of observations with fixed
-  bucket bounds (disk queue waits, span durations);
+* :class:`~repro.obs.sketch.LatencySketch` -- a distribution of
+  observations with bounded relative error (disk queue waits);
 * :class:`Timeline` -- a bounded series of ``(time, value)`` samples,
   the substrate of per-resource utilization timelines.
 
@@ -22,24 +22,18 @@ unconditionally and pay only a no-op method call when telemetry is off.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
+
+from .sketch import LatencySketch
 
 __all__ = [
     "Counter",
     "Gauge",
-    "Histogram",
     "Timeline",
     "MetricsRegistry",
     "NullRegistry",
     "NULL_REGISTRY",
-    "DEFAULT_BUCKETS",
 ]
-
-#: Default histogram bucket upper bounds (seconds, log-spaced): 10 us .. 10 s.
-DEFAULT_BUCKETS: Tuple[float, ...] = tuple(
-    10.0 ** e for e in (-5, -4.5, -4, -3.5, -3, -2.5, -2, -1.5, -1, -0.5,
-                        0, 0.5, 1))
 
 
 class Counter:
@@ -82,57 +76,6 @@ class Gauge:
 
     def as_dict(self) -> Dict:
         return {"name": self.name, "type": self.kind, "value": self.value}
-
-
-class Histogram:
-    """A distribution over fixed bucket bounds (cumulative, Prometheus-style).
-
-    ``bucket_counts[i]`` counts observations ``<= bounds[i]``; an implicit
-    ``+Inf`` bucket equals :attr:`count`.
-    """
-
-    kind = "histogram"
-    __slots__ = ("name", "bounds", "bucket_counts", "count", "total",
-                 "minimum", "maximum")
-
-    def __init__(self, name: str, bounds: Sequence[float] = DEFAULT_BUCKETS):
-        if not bounds or list(bounds) != sorted(bounds):
-            raise ValueError("histogram bounds must be non-empty ascending")
-        self.name = name
-        self.bounds: Tuple[float, ...] = tuple(float(b) for b in bounds)
-        self.bucket_counts = [0] * len(self.bounds)
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def observe(self, value: float) -> None:
-        self.count += 1
-        self.total += value
-        self.minimum = min(self.minimum, value)
-        self.maximum = max(self.maximum, value)
-        for i, bound in enumerate(self.bounds):
-            if value <= bound:
-                self.bucket_counts[i] += 1
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def reset(self) -> None:
-        self.bucket_counts = [0] * len(self.bounds)
-        self.count = 0
-        self.total = 0.0
-        self.minimum = math.inf
-        self.maximum = -math.inf
-
-    def as_dict(self) -> Dict:
-        return {"name": self.name, "type": self.kind, "count": self.count,
-                "sum": self.total, "mean": self.mean,
-                "min": self.minimum if self.count else None,
-                "max": self.maximum if self.count else None,
-                "buckets": [{"le": le, "count": c}
-                            for le, c in zip(self.bounds, self.bucket_counts)]}
 
 
 class Timeline:
@@ -191,9 +134,10 @@ class MetricsRegistry:
         self._metrics: Dict[str, object] = {}
 
     def _get(self, name: str, cls, *args):
+        """The instrument under *name*, created as ``cls(*args)``."""
         metric = self._metrics.get(name)
         if metric is None:
-            metric = cls(name, *args)
+            metric = cls(*args)
             self._metrics[name] = metric
         elif not isinstance(metric, cls):
             raise TypeError(
@@ -202,17 +146,16 @@ class MetricsRegistry:
         return metric
 
     def counter(self, name: str) -> Counter:
-        return self._get(name, Counter)
+        return self._get(name, Counter, name)
 
     def gauge(self, name: str) -> Gauge:
-        return self._get(name, Gauge)
+        return self._get(name, Gauge, name)
 
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._get(name, Histogram, bounds)
+    def sketch(self, name: str) -> LatencySketch:
+        return self._get(name, LatencySketch)
 
     def timeline(self, name: str, capacity: int = 100_000) -> Timeline:
-        return self._get(name, Timeline, capacity)
+        return self._get(name, Timeline, name, capacity)
 
     def get(self, name: str):
         """The instrument registered under *name*, or None."""
@@ -220,7 +163,11 @@ class MetricsRegistry:
 
     def __iter__(self) -> Iterator:
         """All instruments, sorted by name."""
-        return iter(sorted(self._metrics.values(), key=lambda m: m.name))
+        return (metric for _, metric in self.items())
+
+    def items(self) -> List[Tuple[str, object]]:
+        """``(name, instrument)`` pairs, sorted by name."""
+        return sorted(self._metrics.items())
 
     def __len__(self) -> int:
         return len(self._metrics)
@@ -248,10 +195,10 @@ class _NullGauge(Gauge):
         pass
 
 
-class _NullHistogram(Histogram):
+class _NullSketch(LatencySketch):
     __slots__ = ()
 
-    def observe(self, value: float) -> None:
+    def record(self, value: float) -> None:
         pass
 
 
@@ -271,7 +218,7 @@ class NullRegistry(MetricsRegistry):
         super().__init__()
         self._counter = _NullCounter("null")
         self._gauge = _NullGauge("null")
-        self._histogram = _NullHistogram("null")
+        self._sketch = _NullSketch()
         self._timeline = _NullTimeline("null", capacity=1)
 
     def counter(self, name: str) -> Counter:
@@ -280,9 +227,8 @@ class NullRegistry(MetricsRegistry):
     def gauge(self, name: str) -> Gauge:
         return self._gauge
 
-    def histogram(self, name: str,
-                  bounds: Sequence[float] = DEFAULT_BUCKETS) -> Histogram:
-        return self._histogram
+    def sketch(self, name: str) -> LatencySketch:
+        return self._sketch
 
     def timeline(self, name: str, capacity: int = 100_000) -> Timeline:
         return self._timeline

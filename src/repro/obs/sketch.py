@@ -59,6 +59,12 @@ class LatencySketch:
         self.max_buckets = max_buckets
         self._log_gamma = math.log(
             (1.0 + relative_accuracy) / (1.0 - relative_accuracy))
+        self.reset()
+
+    # -- recording -------------------------------------------------------
+
+    def reset(self) -> None:
+        """Drop every sample, keeping the accuracy and capacity."""
         self.count = 0
         self.total = 0.0
         self.min = math.inf
@@ -66,8 +72,6 @@ class LatencySketch:
         self.zero_count = 0
         #: bucket index -> count; bucket i covers (gamma^(i-1), gamma^i].
         self.buckets: Dict[int, int] = {}
-
-    # -- recording -------------------------------------------------------
 
     def record(self, value: float) -> None:
         """Add one sample (seconds, but any positive unit works)."""

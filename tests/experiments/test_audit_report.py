@@ -1,6 +1,7 @@
 """Tests for the audit reports, ``repro audit``, and --audit wiring."""
 
 import dataclasses
+import html
 import json
 import os
 import re
@@ -9,6 +10,7 @@ import pytest
 
 from repro.experiments import (
     FIGURES,
+    audit_document,
     audit_payload,
     build_audit_report,
     figure_from_dict,
@@ -33,9 +35,37 @@ def tiny_report(tiny_result):
     return build_audit_report(tiny_result, samples=60, sensitivity=False)
 
 
+def _markdown(report):
+    return render_markdown(audit_document(report))
+
+
+def _html(report):
+    return render_html(audit_document(report), "audit")
+
+
+def _outline(markdown, page):
+    """The ordered headings and table cells of both renderings."""
+    md_headings = re.findall(r"^#+ (.*)$", markdown, flags=re.M)
+    html_headings = [html.unescape(h)
+                     for h in re.findall(r"<h\d>(.*?)</h\d>", page)]
+    md_cells = [cell.strip() for line in markdown.splitlines()
+                if line.startswith("| ")
+                for cell in line.strip("|").split(" | ")]
+    html_cells = [html.unescape(re.sub(r"<[^>]+>", "", cell))
+                  for cell in re.findall(r"<t[hd][^>]*>(.*?)</t[hd]>",
+                                         page)]
+    return (md_headings, md_cells), (html_headings, html_cells)
+
+
+def assert_same_outline(report):
+    markdown_outline, html_outline = _outline(_markdown(report),
+                                              _html(report))
+    assert markdown_outline == html_outline
+
+
 class TestReportContent:
     def test_markdown_sections(self, tiny_report):
-        text = render_markdown(tiny_report)
+        text = _markdown(tiny_report)
         assert text.startswith("# Placement audit: figure 8a")
         assert f"Audit digest: `{tiny_report.digest}`" in text
         for heading in ("Measured throughput", "Declustering skew",
@@ -49,12 +79,19 @@ class TestReportContent:
         assert "Auxiliary index on `unique2`" in text
 
     def test_html_is_self_contained(self, tiny_report):
-        html = render_html(tiny_report)
+        html = _html(tiny_report)
         assert html.startswith("<!DOCTYPE html>")
         assert "<style>" in html
         assert "<script" not in html          # no external/runtime deps
         assert 'src="http' not in html
         assert tiny_report.digest in html
+
+    def test_markdown_and_html_share_one_outline(self, tiny_report):
+        assert_same_outline(tiny_report)
+        # The HTML carries the notes the markdown explains sections with.
+        page = _html(tiny_report)
+        assert "Distinct processors per grid slice" in page
+        assert "<h2>MAGIC slice spread vs. M_i targets</h2>" in page
 
     def test_write_report_artifacts(self, tiny_report, tmp_path):
         md_path, html_path = write_report(tiny_report, str(tmp_path))
@@ -64,12 +101,13 @@ class TestReportContent:
         assert os.path.getsize(html_path) > 0
 
     def test_sensitivity_section_optional(self, tiny_result, tiny_report):
-        assert "Correlation sensitivity" not in render_markdown(tiny_report)
+        assert "Correlation sensitivity" not in _markdown(tiny_report)
         with_sensitivity = build_audit_report(tiny_result, samples=40,
                                               sensitivity=True)
-        text = render_markdown(with_sensitivity)
+        text = _markdown(with_sensitivity)
         assert "Correlation sensitivity" in text
         assert "| berd | high |" in text
+        assert_same_outline(with_sensitivity)
 
 
 class TestResultsV2Audit:

@@ -9,9 +9,10 @@ from repro.experiments import (
     average_processors_table,
     build_strategy,
     check_expectation,
-    format_figure,
-    format_processor_table,
+    figure_document,
+    processor_document,
     rebalance_worst_case,
+    render_markdown,
     run_experiment,
 )
 from repro.cli import build_parser, main
@@ -82,10 +83,10 @@ class TestRunnerSmall:
         assert set(finals) == {"range", "berd", "magic"}
 
     def test_format_figure_renders(self, small_result):
-        text = format_figure(small_result)
+        text = render_markdown(figure_document(small_result))
         assert "Figure 8a" in text
         assert "MPL" in text
-        assert "paper expectation" in text
+        assert "Outcome (" in text
 
     def test_check_expectation_returns_verdict(self, small_result):
         ok, detail = check_expectation(small_result)
@@ -103,8 +104,9 @@ class TestProcessorTable:
         assert table["range"]["QA"] == 1.0
         # MAGIC localizes both below the machine size.
         assert table["magic"]["average"] < 8.0
-        text = format_processor_table(FIGURES["8a"], table)
+        text = render_markdown(processor_document(FIGURES["8a"], table))
         assert "range" in text and "magic" in text
+        assert "| range | 1.00 | 8.00 |" in text
 
 
 class TestRebalanceWorstCase:

@@ -20,18 +20,20 @@ from repro.experiments import (
     figure_to_dict,
     run_experiment,
 )
-from repro.experiments.audit_report import (
+from repro.experiments.report import (
+    audit_document,
     build_audit_report,
+    latency_budget,
     render_html,
     render_markdown,
 )
 from repro.experiments.latency import (
-    latency_budget_lines,
     latency_payload,
     latency_table,
     recorders_from_payload,
 )
 from repro.cli import main
+from tests.experiments.test_audit_report import assert_same_outline
 from repro.gamma import GammaMachine
 from repro.obs import Telemetry, TelemetrySpec
 from repro.storage import make_wisconsin
@@ -172,9 +174,12 @@ class TestPayloadHelpers:
         restricted = latency_table(payload, mpls=(4,))
         assert "mpl 1" not in restricted
         assert "mpl 4" in restricted
-        lines = latency_budget_lines(payload)
-        assert any("berd" in line and "mpl   4" in line for line in lines)
-        assert all("ms" in line for line in lines[1:])
+        budget = render_markdown(latency_budget(payload))
+        # One row per strategy, at its highest captured MPL, in ms.
+        assert "| berd | 4 |" in budget
+        assert "| magic | 4 |" in budget
+        assert "| berd | 1 |" not in budget
+        assert "| mean ms | p50 ms | p95 ms | p99 ms | max ms |" in budget
 
 
 class TestLatencyCli:
@@ -231,10 +236,12 @@ class TestAuditReportSections:
                                 **TINY)
         report = build_audit_report(result, samples=50, sensitivity=False)
         assert report.latency == result.latency
-        markdown = render_markdown(report)
+        markdown = render_markdown(audit_document(report))
         assert "## Query latency budget (measured)" in markdown
         assert "range" in markdown
-        assert "Query latency budget (measured)" in render_html(report)
+        assert "Query latency budget (measured)" in render_html(
+            audit_document(report), "audit")
+        assert_same_outline(report)
 
     def test_critical_path_tables_when_tracing(self):
         result = run_experiment(
@@ -245,5 +252,6 @@ class TestAuditReportSections:
         report = build_audit_report(result, samples=50, sensitivity=False)
         assert "range" in report.critpath_tables
         assert "query type" in report.critpath_tables["range"]
-        markdown = render_markdown(report)
+        markdown = render_markdown(audit_document(report))
         assert "## Critical path: range" in markdown
+        assert_same_outline(report)

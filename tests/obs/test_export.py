@@ -6,6 +6,7 @@ import pytest
 
 from repro.obs.export import _prom_name, _prom_value
 from repro.obs import (
+    LatencySketch,
     MetricsRegistry,
     load_jsonl,
     metric_records,
@@ -19,9 +20,9 @@ def registry():
     registry = MetricsRegistry()
     registry.counter("node.0.disk.reads").inc(12)
     registry.gauge("sched.queries.in_flight").set(4)
-    hist = registry.histogram("disk.wait_seconds", bounds=(0.01, 0.1))
-    hist.observe(0.005)
-    hist.observe(0.05)
+    sketch = registry.sketch("disk.wait_seconds")
+    sketch.record(0.005)
+    sketch.record(0.05)
     timeline = registry.timeline("node.0.cpu.utilization")
     timeline.sample(1.0, 0.25)
     timeline.sample(2.0, 0.75)
@@ -36,7 +37,12 @@ class TestJsonl:
                                 "disk.wait_seconds",
                                 "node.0.cpu.utilization"}
         assert records["node.0.disk.reads"]["value"] == 12
+        assert records["disk.wait_seconds"]["type"] == "summary"
         assert records["disk.wait_seconds"]["count"] == 2
+        # The record is the sketch's own lossless serialization.
+        restored = LatencySketch.from_dict(records["disk.wait_seconds"])
+        assert restored.max == pytest.approx(0.05)
+        assert restored.quantile(0.5) == pytest.approx(0.005, rel=0.02)
         assert records["node.0.cpu.utilization"]["points"] == [[1.0, 0.25],
                                                                [2.0, 0.75]]
 
@@ -55,10 +61,13 @@ class TestPrometheus:
         assert "# TYPE repro_node_0_disk_reads counter" in text
         assert "repro_node_0_disk_reads 12.0" in text
         assert "repro_sched_queries_in_flight 4.0" in text
-        # Histogram: cumulative buckets plus +Inf, sum, count.
-        assert 'repro_disk_wait_seconds_bucket{le="0.01"} 1' in text
-        assert 'repro_disk_wait_seconds_bucket{le="0.1"} 2' in text
-        assert 'repro_disk_wait_seconds_bucket{le="+Inf"} 2' in text
+        # Sketch: a summary with quantile lines plus sum and count.
+        assert "# TYPE repro_disk_wait_seconds summary" in text
+        quantiles = dict(re.findall(
+            r'repro_disk_wait_seconds\{quantile="([0-9.]+)"\} (\S+)', text))
+        assert list(quantiles) == ["0.5", "0.95", "0.99"]
+        assert float(quantiles["0.5"]) == pytest.approx(0.005, rel=0.02)
+        assert "repro_disk_wait_seconds_sum 0.055" in text
         assert "repro_disk_wait_seconds_count 2" in text
         # Timelines render as a gauge holding the last sample.
         assert "repro_node_0_cpu_utilization 0.75" in text

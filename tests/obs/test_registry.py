@@ -2,12 +2,7 @@
 
 import pytest
 
-from repro.obs import (
-    DEFAULT_BUCKETS,
-    MetricsRegistry,
-    NULL_REGISTRY,
-    NullRegistry,
-)
+from repro.obs import MetricsRegistry, NULL_REGISTRY, NullRegistry
 
 
 @pytest.fixture
@@ -46,33 +41,26 @@ class TestGauge:
         assert gauge.value == 3
 
 
-class TestHistogram:
-    def test_observe_counts_and_sums(self, registry):
-        hist = registry.histogram("disk.wait_seconds")
-        hist.observe(0.001)
-        hist.observe(0.5)
-        assert hist.count == 2
-        assert hist.total == pytest.approx(0.501)
-        assert hist.mean == pytest.approx(0.2505)
+class TestSketch:
+    def test_record_counts_and_sums(self, registry):
+        sketch = registry.sketch("disk.wait_seconds")
+        sketch.record(0.001)
+        sketch.record(0.5)
+        assert sketch.count == 2
+        assert sketch.total == pytest.approx(0.501)
+        assert sketch.mean == pytest.approx(0.2505)
 
-    def test_buckets_are_cumulative(self, registry):
-        hist = registry.histogram("h", bounds=(0.1, 1.0))
-        hist.observe(0.05)
-        hist.observe(0.5)
-        hist.observe(5.0)
-        # Prometheus-style: each bound counts everything at or below it;
-        # the implicit +Inf bucket is the total count.
-        assert hist.bucket_counts == [1, 2]
-        assert hist.count == 3
-        assert hist.minimum == pytest.approx(0.05)
-        assert hist.maximum == pytest.approx(5.0)
-
-    def test_rejects_unsorted_bounds(self, registry):
-        with pytest.raises(ValueError):
-            registry.histogram("bad", bounds=(1.0, 0.1))
-
-    def test_default_buckets_are_sorted(self):
-        assert list(DEFAULT_BUCKETS) == sorted(DEFAULT_BUCKETS)
+    def test_quantiles_within_relative_accuracy(self, registry):
+        sketch = registry.sketch("h")
+        for value in (0.0, 0.05, 0.5, 5.0):
+            sketch.record(value)
+        # A zero wait lands in the zero bucket; the rest keep their
+        # magnitude to within the sketch's relative accuracy.
+        assert sketch.quantile(0.0) == 0.0
+        assert sketch.quantile(0.5) == pytest.approx(0.05, rel=0.02)
+        assert sketch.quantile(1.0) == pytest.approx(5.0, rel=0.02)
+        assert sketch.min == 0.0
+        assert sketch.max == pytest.approx(5.0)
 
 
 class TestTimeline:
@@ -105,9 +93,13 @@ class TestRegistry:
         counter.inc(5)
         timeline = registry.timeline("t")
         timeline.sample(0.0, 1.0)
+        sketch = registry.sketch("s")
+        sketch.record(0.25)
         registry.reset()
         assert counter.value == 0
         assert len(timeline) == 0
+        assert sketch.count == 0 and not sketch.buckets
+        assert registry.get("s") is sketch
         assert registry.get("c") is counter
 
     def test_get_unknown_returns_none(self, registry):
@@ -128,9 +120,9 @@ class TestNullRegistry:
 
     def test_all_instrument_kinds_absorb_calls(self):
         NULL_REGISTRY.gauge("g").set(1)
-        NULL_REGISTRY.histogram("h").observe(1.0)
+        NULL_REGISTRY.sketch("h").record(1.0)
         NULL_REGISTRY.timeline("t").sample(0.0, 1.0)
         assert NULL_REGISTRY.gauge("g").value == 0.0
-        assert NULL_REGISTRY.histogram("h").count == 0
+        assert NULL_REGISTRY.sketch("h").count == 0
         assert len(NULL_REGISTRY.timeline("t")) == 0
         assert list(NULL_REGISTRY) == []

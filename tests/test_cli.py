@@ -16,8 +16,9 @@ SUBCOMMANDS = ["figure", "sweep", "scaleup", "dynamics", "explain", "report",
                "processors", "rebalance", "audit", "validate", "profile",
                "trace", "latency", "perf"]
 
-#: Bad command lines; {missing} / {empty} become a missing directory and
-#: an empty one.  Each must exit 2 with a usage message, not a traceback.
+#: Bad command lines; {missing} / {empty} / {incomplete} become a missing
+#: directory, an empty one, and one whose only figure file lacks every
+#: required key.  Each must exit 2 with a usage message, not a traceback.
 BAD_INPUT = [
     ["sweep", "cpu_mips", "1", "--figure", "99"],
     ["sweep", "cpu_mips", "a"],
@@ -29,6 +30,7 @@ BAD_INPUT = [
     ["figure", "8a", "--jobs", "0"],
     ["report", "{missing}"],
     ["report", "{empty}"],
+    ["report", "{incomplete}"],
     ["figure"],
     ["explain", "--mpl", "4,8"],
     ["dynamics", "--processors-count", "64", "--grow-to", "64"],
@@ -74,8 +76,14 @@ def test_subcommand_help_exits_zero(name, capsys):
 
 @pytest.mark.parametrize("argv", BAD_INPUT, ids=" ".join)
 def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
-    argv = [arg.format(missing=tmp_path / "missing", empty=tmp_path)
-            for arg in argv]
+    incomplete = tmp_path / "incomplete"
+    incomplete.mkdir()
+    (incomplete / "figure_8a.json").write_text(
+        json.dumps({"format_version": 2, "figure": "8a"}))
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    argv = [arg.format(missing=tmp_path / "missing", empty=empty,
+                       incomplete=incomplete) for arg in argv]
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
