@@ -42,8 +42,6 @@ from .obs.export import (chrome_events_from_phase_spans,
                          chrome_events_from_span_records, chrome_trace,
                          validate_chrome_trace, write_chrome_trace,
                          write_run_artifacts)
-from .obs.ledger import (DEFAULT_LEDGER_PATH, append_metrics, latest_diffs,
-                         read_ledger, regressions, trend_table)
 from .obs.progress import ProgressTracker
 from .validation import (CheckGroup, degenerate_single_site_oracle,
                          one_dimensional_magic_oracle, render_report,
@@ -96,15 +94,6 @@ def _subset_of(choices):
                 f"unknown {unknown}; choose from {', '.join(choices)}")
         return values
     return parse
-
-
-def _metric_pair(text: str):
-    name, _, value = text.partition("=")
-    with contextlib.suppress(ValueError):
-        if name:
-            return name, float(value)
-    raise argparse.ArgumentTypeError(
-        f"expected METRIC=VALUE with a numeric VALUE, got {text!r}")
 
 
 class _Given(argparse.Action):
@@ -365,25 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
             "exports, or both for a live traced run of --figure",
             _input_options(), _machine_options(), _execution_options(),
             _output_options(), measured=200)
-
-    sub = command("perf", _cmd_perf,
-                  "perf-ledger trend table; optionally append rows first",
-                  _output_options())
-    sub.add_argument("--ledger", metavar="PATH", default=DEFAULT_LEDGER_PATH,
-                     help="ledger JSONL file")
-    sub.add_argument("--metric", metavar="NAME",
-                     help="restrict the table to one metric")
-    sub.add_argument("--last", type=_positive_int, default=8, metavar="N",
-                     help="rows per metric")
-    sub.add_argument("--append", type=_metric_pair, nargs="+",
-                     metavar="METRIC=VALUE",
-                     help="append rows (stamped with git sha, UTC time "
-                          "and host fingerprint) before rendering")
-    sub.add_argument("--benchmark", default="manual",
-                     help="benchmark name stamped on --append rows")
-    sub.add_argument("--strict", action="store_true",
-                     help="exit 1 when any metric's latest entry moved "
-                          ">10%% in the regressing direction")
     return parser
 
 
@@ -755,27 +725,6 @@ def _cmd_latency(args) -> int:
                 **execution))
     _emit("\n".join(blocks) + "\n", args.out)
     return 0
-
-
-def _cmd_perf(args) -> int:
-    if args.append:
-        rows = append_metrics(dict(args.append), benchmark=args.benchmark,
-                              path=args.ledger)
-        for row in rows:
-            print(f"appended {row['metric']}={row['value']:g} "
-                  f"(sha {row['git_sha']}, host {row['host']}) "
-                  f"to {args.ledger}")
-    rows, skipped = read_ledger(args.ledger)
-    if skipped:
-        print(f"(skipped {skipped} unparsable ledger line(s))",
-              file=sys.stderr)
-    _emit(trend_table(rows, metric=args.metric, last=args.last), args.out)
-    # A read-only report: regressions fail it only under --strict (CI).
-    regressed = regressions(latest_diffs(rows))
-    if regressed:
-        print(f"(note: >10% regression vs previous entry in: "
-              f"{', '.join(regressed)})", file=sys.stderr)
-    return 1 if regressed and args.strict else 0
 
 
 def main(argv: Optional[List[str]] = None) -> int:

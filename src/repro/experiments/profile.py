@@ -46,12 +46,6 @@ def profile_point(figure: str, strategy: str, mpl: int, cardinality: int,
                    qb_low_tuples=spec.qb_low_tuples)
     machine = GammaMachine(placement, indexes=PAPER_INDEXES,
                            params=GAMMA_PARAMETERS, seed=spec.machine_seed)
-    # The confidence-interval code lazily imports scipy inside run();
-    # pull it in now so a one-time import doesn't dominate the profile.
-    try:
-        import scipy.stats  # noqa: F401
-    except ImportError:  # pragma: no cover - scipy is optional there
-        pass
     profiler = cProfile.Profile()
     started = time.perf_counter()
     profiler.enable()

@@ -134,8 +134,13 @@ def _figure_from_payload(config: ExperimentConfig,
         # replayable from the artifact alone.
         dynamics=payload.get("dynamics"))
     for name, runs in payload["series"].items():
-        result.series[name] = [RunResult.from_json_dict(run)
-                               for run in runs]
+        try:
+            result.series[name] = [RunResult.from_json_dict(run)
+                                   for run in runs]
+        except TypeError as exc:
+            # An unknown or missing key in one run entry.
+            raise ValueError(f"bad run entry in series {name!r}: "
+                             f"{exc}") from None
     return result
 
 

@@ -13,9 +13,8 @@ multiprogramming level and reports, per (machine size, strategy) point:
   smeared over a whole figure;
 * the DES events/sec rate achieved at that machine size.
 
-``benchmarks/test_scaleup.py`` runs this with the fig-8a grid and emits
-``BENCH_scaleup.json`` plus perf-ledger rows; the CLI exposes it as
-``repro scaleup``.
+The CLI exposes it as ``repro scaleup``; ``benchmarks/test_perf_gates.py``
+runs its P=1024 point to gate the MAGIC placement build time.
 
 Runs execute serially on purpose: each point's phase attribution must
 come from its own accumulator, and the P=1024 points dominate wall time

@@ -329,5 +329,4 @@ class GammaMachine:
             cpu_utilization=cpu_util,
             disk_utilization=disk_util,
             scheduler_cpu_utilization=self.scheduler_cpu.utilization(),
-            messages_sent=self.network.messages_sent,
-            throughput_ci=self.metrics.throughput_confidence())
+            messages_sent=self.network.messages_sent)

@@ -8,7 +8,6 @@ utilizations, which §7 uses to explain each result.
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -80,7 +79,6 @@ class RunMetrics:
         self.window_start = env.now
         self.response_times: Dict[str, TallyMonitor] = {}
         self._watchers: List[Tuple[int, Event]] = []
-        self._completion_times: List[float] = []
         # Optional obs.sketch.LatencyRecorder: the same response times
         # that feed the TallyMonitors, as quantile sketches.
         self._latency = latency
@@ -89,7 +87,6 @@ class RunMetrics:
         """Record one finished query."""
         self.completed_total += 1
         self.completed_window += 1
-        self._completion_times.append(self.env.now)
         monitor = self.response_times.get(query_type)
         if monitor is None:
             monitor = TallyMonitor(query_type)
@@ -101,37 +98,6 @@ class RunMetrics:
             if self.completed_total >= count and not event.triggered:
                 event.succeed(self.completed_total)
                 self._watchers.remove((count, event))
-
-    def throughput_confidence(self, batches: int = 10,
-                              confidence: float = 0.95) -> float:
-        """Half-width of a batch-means confidence interval on throughput.
-
-        Splits the measurement window into equal-duration batches,
-        treats per-batch throughputs as (approximately) independent
-        samples, and returns ``t * s / sqrt(n)``.  Returns ``math.nan``
-        when the window is too short to form batches -- a 0.0 here would
-        be indistinguishable from a perfectly tight interval.
-        """
-        if batches < 2:
-            raise ValueError("need at least 2 batches")
-        times = [t for t in self._completion_times if t >= self.window_start]
-        span = self.env.now - self.window_start
-        if span <= 0 or len(times) < batches:
-            return math.nan
-        width = span / batches
-        counts = [0] * batches
-        for t in times:
-            index = min(int((t - self.window_start) / width), batches - 1)
-            counts[index] += 1
-        rates = [c / width for c in counts]
-        mean = sum(rates) / batches
-        var = sum((r - mean) ** 2 for r in rates) / (batches - 1)
-        try:
-            from scipy import stats
-            t_value = float(stats.t.ppf(0.5 + confidence / 2, batches - 1))
-        except ImportError:  # pragma: no cover - scipy is a test dep
-            t_value = 2.262  # t(0.975, 9)
-        return t_value * (var ** 0.5) / (batches ** 0.5)
 
     def on_completion_count(self, count: int) -> Event:
         """Event fired when total completions reach *count*."""
@@ -146,7 +112,6 @@ class RunMetrics:
         """Start the measurement window (end of warm-up)."""
         self.completed_window = 0
         self.window_start = self.env.now
-        self._completion_times.clear()
         for monitor in self.response_times.values():
             monitor.reset()
 
@@ -181,8 +146,6 @@ class RunResult:
     disk_utilization: float = 0.0
     scheduler_cpu_utilization: float = 0.0
     messages_sent: int = 0
-    #: 95% batch-means confidence half-width on the throughput.
-    throughput_ci: float = 0.0
 
     def to_json_dict(self) -> Dict:
         """A JSON-serializable dictionary that round-trips losslessly.
@@ -190,13 +153,18 @@ class RunResult:
         Results cross process boundaries (parallel executors pickle
         them) and session boundaries (the result cache and saved figure
         artifacts store them as JSON); both transports must reproduce
-        the dataclass exactly, NaN confidence intervals included.
+        the dataclass exactly.
         """
         return asdict(self)
 
     @classmethod
     def from_json_dict(cls, payload: Dict) -> "RunResult":
-        """Rebuild a result from :meth:`to_json_dict` output."""
+        """Rebuild a result from :meth:`to_json_dict` output.
+
+        Files and cache entries written before the throughput confidence
+        interval was dropped carry a ``throughput_ci`` key; it is ignored.
+        """
+        payload = {k: v for k, v in payload.items() if k != "throughput_ci"}
         return cls(**payload)
 
     def __str__(self) -> str:

@@ -33,9 +33,7 @@ the layer lives beside it:
   status line or ``--progress jsonl`` machine stream, fed by run
   lifecycle events and parallel-worker heartbeats;
 * the Chrome-trace/Perfetto exporter in :mod:`~repro.obs.export`
-  (``repro trace``) rendering both halves as Catapult JSON;
-* :mod:`~repro.obs.ledger` -- the append-only perf-regression ledger
-  behind ``repro perf``, fed by every ``BENCH_*.json`` writer.
+  (``repro trace``) rendering both halves as Catapult JSON.
 """
 
 from .audit import (
@@ -70,7 +68,6 @@ from .critpath import (
     critpath_table,
     summarize_critical_paths,
 )
-from .ledger import append_metrics, read_ledger, trend_table
 from .phases import PhaseAccumulator
 from .progress import NULL_PROGRESS, ProgressTracker, read_progress_jsonl
 from .registry import Counter, MetricsRegistry, NULL_REGISTRY, NullRegistry
@@ -130,7 +127,4 @@ __all__ = [
     "chrome_events_from_span_records",
     "validate_chrome_trace",
     "write_chrome_trace",
-    "append_metrics",
-    "read_ledger",
-    "trend_table",
 ]

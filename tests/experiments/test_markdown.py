@@ -77,11 +77,17 @@ class TestDirectoryReport:
         # Structurally incomplete: a known figure and nothing else.
         (tmp_path / "figure_zy.json").write_text(
             '{"format_version": 2, "figure": "8a"}')
+        # A run entry with an unknown key.
+        payload = figure_to_dict(small_result)
+        payload["series"]["range"][0]["bogus"] = 1
+        (tmp_path / "figure_zx.json").write_text(json.dumps(payload))
         report = report_from_directory(str(tmp_path))
         assert "Skipped files" in report
         assert "figure_zz.json" in report
         assert "figure_zy.json: results file lacks the 'cardinality' key" \
             in report
+        assert "figure_zx.json: bad run entry in series 'range'" in report
+        assert "'bogus'" in report
 
     def test_non_figure_files_ignored(self, small_result, tmp_path):
         save_figure_json(small_result, str(tmp_path / "figure_8a.json"))

@@ -1,6 +1,7 @@
 """Tests for ASCII plotting and results serialization."""
 
 import json
+import os
 
 import pytest
 
@@ -97,6 +98,16 @@ class TestResultsIo:
         payload["format_version"] = 1
         with pytest.raises(ValueError, match="unknown figure"):
             figure_from_dict(payload)
+
+    def test_committed_figure_with_legacy_ci_key_loads(self):
+        # The committed files predate the dropped throughput_ci field.
+        path = os.path.join(os.path.dirname(__file__), os.pardir,
+                            os.pardir, "results", "figure_8a.json")
+        with open(path) as handle:
+            assert "throughput_ci" in handle.read()
+        result = load_figure_json(path)
+        assert result.config.figure == "8a"
+        assert set(result.series) == {"range", "berd", "magic"}
 
     def test_csv_rows(self, small_result):
         text = figure_to_csv(small_result)

@@ -1,15 +1,9 @@
-"""Unit tests for run metrics, including confidence intervals."""
-
-import math
+"""Unit tests for run metrics and the run result record."""
 
 import pytest
 
-from repro.core import RangeStrategy
 from repro.des import Environment
-from repro.gamma import GammaMachine
 from repro.gamma.metrics import RunMetrics, RunResult
-from repro.storage import make_wisconsin
-from repro.workload import make_mix
 
 
 @pytest.fixture
@@ -57,67 +51,6 @@ class TestRunMetrics:
         assert metrics.throughput() == 0.0
 
 
-class TestConfidenceIntervals:
-    def test_steady_stream_has_tight_ci(self, env):
-        metrics = RunMetrics(env)
-
-        def stream(env):
-            for _ in range(200):
-                yield env.timeout(1.0)
-                metrics.record_completion("QA", 0.1)
-
-        env.process(stream(env))
-        env.run()
-        ci = metrics.throughput_confidence()
-        # Perfectly regular completions: tiny CI relative to 1 q/s.
-        assert ci < 0.1
-
-    def test_too_few_completions_nan_ci(self, env):
-        # A too-short window must NOT report 0.0 (indistinguishable from
-        # a perfectly tight interval): it reports NaN.
-        metrics = RunMetrics(env)
-        for _ in range(3):
-            metrics.record_completion("QA", 0.1)
-        env.run(until=10)
-        assert math.isnan(metrics.throughput_confidence(batches=10))
-
-    def test_empty_window_nan_ci(self, env):
-        metrics = RunMetrics(env)
-        assert math.isnan(metrics.throughput_confidence())
-
-    def test_enough_completions_finite_ci(self, env):
-        metrics = RunMetrics(env)
-
-        def stream(env):
-            for _ in range(20):
-                yield env.timeout(1.0)
-                metrics.record_completion("QA", 0.1)
-
-        env.process(stream(env))
-        env.run()
-        ci = metrics.throughput_confidence(batches=10)
-        assert math.isfinite(ci)
-        assert ci >= 0.0
-
-    def test_invalid_batches(self, env):
-        metrics = RunMetrics(env)
-        with pytest.raises(ValueError):
-            metrics.throughput_confidence(batches=1)
-
-    def test_machine_reports_ci(self):
-        relation = make_wisconsin(10_000, correlation="low", seed=70)
-        placement = RangeStrategy("unique1").partition(relation, 4)
-        machine = GammaMachine(placement,
-                               indexes={"unique1": False, "unique2": True},
-                               seed=3)
-        result = machine.run(make_mix("low-low", domain=10_000),
-                             multiprogramming_level=4,
-                             measured_queries=150)
-        assert result.throughput_ci > 0
-        # The CI must be a sane fraction of the estimate.
-        assert result.throughput_ci < result.throughput
-
-
 class TestRunResult:
     def test_str_contains_key_numbers(self):
         result = RunResult(multiprogramming_level=8, throughput=123.4,
@@ -134,14 +67,12 @@ class TestRunResultRoundTrip:
     """Results cross process (pickle) and artifact (JSON) boundaries."""
 
     def _result(self, **overrides):
-        import math
         fields = dict(multiprogramming_level=8, throughput=123.456789,
                       completed=100, elapsed_seconds=1.25,
                       response_time_mean=0.0521,
                       response_time_by_type={"QA": 0.04, "QB": 0.065},
                       cpu_utilization=0.61, disk_utilization=0.44,
-                      scheduler_cpu_utilization=0.08, messages_sent=4200,
-                      throughput_ci=3.21)
+                      scheduler_cpu_utilization=0.08, messages_sent=4200)
         fields.update(overrides)
         return RunResult(**fields)
 
@@ -156,15 +87,10 @@ class TestRunResultRoundTrip:
         payload = json.loads(json.dumps(result.to_json_dict()))
         assert RunResult.from_json_dict(payload) == result
 
-    def test_nan_confidence_interval_survives_json(self):
-        # Short windows report NaN CIs; NaN != NaN, so check explicitly.
-        import json
-        import math
-        result = self._result(throughput_ci=float("nan"))
-        payload = json.loads(json.dumps(result.to_json_dict()))
-        restored = RunResult.from_json_dict(payload)
-        assert math.isnan(restored.throughput_ci)
-        assert restored.throughput == result.throughput
+    def test_legacy_throughput_ci_key_ignored(self):
+        # Files and cache entries saved before the field was dropped.
+        payload = dict(self._result().to_json_dict(), throughput_ci=3.21)
+        assert RunResult.from_json_dict(payload) == self._result()
 
     def test_pickle_preserves_dataclass_type(self):
         import pickle

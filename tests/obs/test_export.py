@@ -95,18 +95,6 @@ class TestPrometheusEdgeCases:
         # Never python's repr spellings, which scrapers reject.
         assert "inf\n" not in text
 
-    def test_short_window_nan_confidence_interval_round_trips(self):
-        # The realistic NaN source: a confidence interval over a window
-        # too short to estimate variance.
-        from repro.gamma.metrics import RunMetrics
-        from repro.des import Environment
-        metrics = RunMetrics(Environment())
-        registry = MetricsRegistry()
-        registry.gauge("throughput.ci").set(
-            metrics.throughput_confidence())
-        text = render_prometheus(registry)
-        assert "repro_throughput_ci NaN" in text
-
     def test_name_sanitization(self):
         assert _prom_name("node.0.disk-reads") == "node_0_disk_reads"
         assert _prom_name("node 0/disk%util") == "node_0_disk_util"

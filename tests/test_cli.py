@@ -14,12 +14,15 @@ from repro.cli import build_parser, main
 
 SUBCOMMANDS = ["figure", "sweep", "scaleup", "dynamics", "explain", "report",
                "processors", "rebalance", "audit", "validate", "profile",
-               "trace", "latency", "perf"]
+               "trace", "latency"]
 
-#: Bad command lines; {missing} / {empty} / {incomplete} become a missing
-#: directory, an empty one, and one whose only figure file lacks every
-#: required key.  Each must exit 2 with a usage message, not a traceback.
+#: Bad command lines; {missing} / {empty} / {incomplete} / {badrun} become
+#: a missing directory, an empty one, one whose only figure file lacks
+#: every required key, and one whose only figure file has a run entry
+#: with an unknown key.  Each must exit 2 with a usage message, not a
+#: traceback.
 BAD_INPUT = [
+    ["perf"],
     ["sweep", "cpu_mips", "1", "--figure", "99"],
     ["sweep", "cpu_mips", "a"],
     ["sweep", "bogus", "1"],
@@ -31,6 +34,7 @@ BAD_INPUT = [
     ["report", "{missing}"],
     ["report", "{empty}"],
     ["report", "{incomplete}"],
+    ["report", "{badrun}"],
     ["figure"],
     ["explain", "--mpl", "4,8"],
     ["dynamics", "--processors-count", "64", "--grow-to", "64"],
@@ -80,10 +84,18 @@ def test_bad_input_is_a_usage_error(argv, tmp_path, capsys):
     incomplete.mkdir()
     (incomplete / "figure_8a.json").write_text(
         json.dumps({"format_version": 2, "figure": "8a"}))
+    badrun = tmp_path / "badrun"
+    badrun.mkdir()
+    run = dict(multiprogramming_level=1, throughput=1.0, completed=1,
+               elapsed_seconds=1.0, response_time_mean=1.0, bogus=1)
+    (badrun / "figure_8a.json").write_text(json.dumps(
+        {"format_version": 2, "figure": "8a", "cardinality": 100,
+         "num_sites": 4, "measured_queries": 1, "series": {"range": [run]}}))
     empty = tmp_path / "empty"
     empty.mkdir()
     argv = [arg.format(missing=tmp_path / "missing", empty=empty,
-                       incomplete=incomplete) for arg in argv]
+                       incomplete=incomplete, badrun=badrun)
+            for arg in argv]
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
@@ -121,3 +133,16 @@ def test_library_import_leaves_cli_and_argparse_unloaded():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.split() == ["False", "False"]
+
+
+def test_run_experiment_leaves_scipy_unloaded():
+    code = ("import sys\n"
+            "from repro.experiments import FIGURES, run_experiment\n"
+            "run_experiment(FIGURES['8a'], cardinality=2000, num_sites=4, "
+            "measured_queries=5, mpls=(2,), seed=13)\n"
+            "print('scipy' in sys.modules)")
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(repro.__file__)))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False"]
