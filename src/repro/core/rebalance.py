@@ -23,36 +23,33 @@ when no swap improves or the iteration budget is exhausted.
 Cost model at scale
 -------------------
 
-The search state only changes when a swap is applied.  Everything
-computed against an unchanged directory is therefore reusable, and this
-module exploits that aggressively so the stuck-case candidate-pool
-widening (which used to rebuild every per-candidate matmul each rung of
-the doubling ladder, an O(P) pile of matmuls per iteration at large P)
-costs each matmul and each (heavy, light) pair evaluation exactly once
-per directory state:
+Weights change only when a swap is applied, so :class:`_Ladder` searches
+each directory state once, replaying its whole pool-widening ladder.
+The swaps, tie-breaks included, stay those of a scan that evaluates one
+(dim, heavy, light) pair at a time and keeps the first strictly better:
 
-* per-processor weights are maintained incrementally -- the applied
-  swap's recomputed weight vector (exact int64 arithmetic, identical to
-  a fresh bincount) becomes the next iteration's weights;
-* per-dimension slice matrices and per-candidate swap-delta matrices are
-  cached across stuck iterations and extended only with the candidates
-  the widened pool adds;
-* (dim, heavy, light) pairs that failed to improve the objective are
-  skipped on re-visit: a stuck iteration leaves weights and directory
-  untouched, so a previously rejected pair can never become the best
-  swap of a later rung.
+* rungs nest: with ``K = pool_limit`` and ``order = argsort(weights)``,
+  rung k pairs the first k of ``order[-K:][::-1]`` (heavies) with the
+  first k of ``order[:K]`` (lights).  Its swap is the first minimum of
+  a (dim, heavy rank, light rank) objective table cut to
+  ``[:, :k, :k]``; a pair failing one rung fails them all, so a rung
+  fills only its new L-shaped block;
+* swap deltas are symmetric with a zero diagonal: a pair's first
+  row-major best slice pair lies in the strict upper triangle, the only
+  part kept;
+* deltas are tuple-count sums, exact from one float64 bincount per
+  block of candidates;
+* a swap's objective (sum of squares, then spread) is exact in int64,
+  one offset bincount for a block's new swaps; below 2**53 it equals
+  the float64 sum of squares.
 
-The widening ladder itself is bounded by ``max_pool`` (default 64):
-below that many sites the search is exhaustive exactly as before, above
-it the proposal set stops growing with P, keeping the worst case
-O(max_pool) matmuls per directory state instead of O(P).  All three
-mechanisms are behavior-preserving for P <= max_pool -- the swap
-sequence (and hence the final assignment) is bit-identical to the
-pre-cache implementation.
+``max_pool`` (default 64) bounds the ladder: below that many sites the
+search is exhaustive, above it the pool stops growing with P.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -87,47 +84,147 @@ def _slice_matrices(directory: GridDirectory, dim: int):
     return counts.reshape(n, -1), assign.reshape(n, -1)
 
 
-def _swap_delta(x: np.ndarray, a: np.ndarray, p: int) -> np.ndarray:
-    """``delta[s, t]``: weight change of processor *p* if slices (s, t)
-    of the dimension behind (x, a) were swapped.
-
-    One matmul per (directory state, dimension, candidate processor);
-    every (heavy, light) query against it is cheap array arithmetic.
-    """
-    mask = (a == p).astype(np.int64)
-    cross = x @ mask.T  # cross[s, t]
-    own = np.diagonal(cross).copy()
-    return cross + cross.T - own[:, None] - own[None, :]
+#: Table entry of a (dim, heavy, light) pair without an improving swap.
+_NONE = np.iinfo(np.int64).max
+#: Element budget of one broadcast temporary.
+_CHUNK = 1 << 18
 
 
-def _best_pair(delta_heavy: np.ndarray, delta_light: np.ndarray,
-               gap: int) -> Optional[Tuple[int, int, int]]:
-    """Best slice pair reducing the (heavy, light) gap, or None."""
-    new_gap = np.abs(gap + delta_heavy - delta_light)
-    np.fill_diagonal(new_gap, gap)  # self-swap: no-op
-    s1, s2 = np.unravel_index(int(np.argmin(new_gap)), new_gap.shape)
-    improvement = gap - int(new_gap[s1, s2])
-    if improvement <= 0:
-        return None
-    return improvement, int(s1), int(s2)
+@lru_cache(maxsize=16)
+def _upper_triangle(n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rows and columns of an n x n strict upper triangle in row-major
+    order, and each slice pair's position in it (diagonal: one past the
+    end)."""
+    iu, ju = np.triu_indices(n, 1)
+    position = np.full((n, n), len(iu))
+    position[iu, ju] = position[ju, iu] = np.arange(len(iu))
+    return iu, ju, position
 
 
-def _apply_swap(directory: GridDirectory, dim: int, s1: int, s2: int) -> None:
-    assign = np.moveaxis(directory.assignment, dim, 0)
-    tmp = assign[s1].copy()
-    assign[s1] = assign[s2]
-    assign[s2] = tmp
+def _swap_deltas(x: np.ndarray, a: np.ndarray, processors: np.ndarray,
+                 num_sites: int, dtype) -> np.ndarray:
+    """``delta[c, m]``: weight change of ``processors[c]`` if the m-th
+    upper-triangle slice pair of (x, a) swapped.  In an (s, t) swap each
+    candidate entry (s, e) trades ``x[s, e]`` tuples for ``x[t, e]``."""
+    iu, _, position = _upper_triangle(len(x))
+    size, count = len(iu) + 1, len(processors)
+    slot = np.full(num_sites, count)
+    slot[processors] = np.arange(count)
+    owner = slot[a]
+    rows, cols = np.nonzero(owner < count)
+    index = position[rows]
+    index += (owner[rows, cols] * size)[:, None]
+    trade = np.ascontiguousarray(x.T, dtype=np.float64)[cols]
+    trade -= trade[np.arange(len(rows)), rows][:, None]
+    delta = np.bincount(index.ravel(), weights=trade.ravel(),
+                        minlength=count * size)
+    return delta.reshape(count, size)[:, :-1].astype(dtype)
 
 
-def _weights_after_swap(x: np.ndarray, a: np.ndarray, s1: int, s2: int,
-                        weights: np.ndarray, num_sites: int) -> np.ndarray:
-    """Per-processor weights if slices (s1, s2) of (x, a) were swapped."""
-    new = weights.astype(np.int64).copy()
-    new -= np.bincount(a[s1], weights=x[s1], minlength=num_sites).astype(np.int64)
-    new -= np.bincount(a[s2], weights=x[s2], minlength=num_sites).astype(np.int64)
-    new += np.bincount(a[s2], weights=x[s1], minlength=num_sites).astype(np.int64)
-    new += np.bincount(a[s1], weights=x[s2], minlength=num_sites).astype(np.int64)
-    return new
+def _swap_objectives(x: np.ndarray, a: np.ndarray, s1: np.ndarray,
+                     s2: np.ndarray, weights: np.ndarray):
+    """(sum of squares, spread) of the per-processor weights after each
+    swap ``(s1[u], s2[u])`` of (x, a): one offset bincount, exact."""
+    n, p = len(s1), len(weights)
+    moved = (x[s2] - x[s1]).astype(np.float64).ravel()
+    offsets = (np.arange(n) * p)[:, None]
+    change = np.bincount(
+        np.concatenate([(a[s1] + offsets).ravel(), (a[s2] + offsets).ravel()]),
+        weights=np.concatenate([moved, -moved]), minlength=n * p)
+    new = weights + change.reshape(n, p).astype(np.int64)
+    return (new * new).sum(axis=1), new.max(axis=1) - new.min(axis=1)
+
+
+class _Ladder:
+    """The pool-widening ladder of one directory state: ``table[:, dim,
+    i, j]`` holds (sum of squares, spread, swap index) of the best swap
+    of heavy rank i and light rank j, ``_NONE`` unless it improves."""
+
+    def __init__(self, directory: GridDirectory, weights: np.ndarray,
+                 pool_limit: int, current: Tuple[int, int]):
+        order = np.argsort(weights)
+        self.heavies = order[-pool_limit:][::-1]
+        self.lights = order[:pool_limit]
+        self.w_heavy = weights[self.heavies]
+        self.w_light = weights[self.lights]
+        # Lights ascend in weight: heavy rank i can only gain against
+        # light ranks below valid[i].
+        self.valid = np.searchsorted(self.w_light, self.w_heavy, "left")
+        self.weights, self.current, self.done = weights, current, 0
+        # |gap + delta_heavy - delta_light| <= 3 x total tuples.
+        dtype = np.int32 if 3 * int(weights.sum()) < 2**31 else np.int64
+        # Per dimension: slice matrices, delta rows by processor and by
+        # heavy / light rank, and each swap's objective (-1: not yet).
+        self.dims = []
+        for dim in range(directory.ndim):
+            x, a = _slice_matrices(directory, dim)
+            size = len(x) * (len(x) - 1) // 2
+            self.dims.append((x, a, {}, np.empty((pool_limit, size), dtype),
+                              np.empty((pool_limit, size), dtype),
+                              np.full((2, size), -1, dtype=np.int64)))
+        self.table = np.full((3, directory.ndim, pool_limit, pool_limit),
+                             _NONE)
+
+    def climb(self, rung: int, stats: dict):
+        """Rung *rung*'s swap as (dim, s1, s2, objective), or None."""
+        done, self.done = self.done, rung
+        pool = set(self.heavies[:rung].tolist() + self.lights[:rung].tolist())
+        for dim, (x, a, cache, dh, dl, objective) in enumerate(self.dims):
+            fresh = np.array(sorted(pool - cache.keys()), dtype=np.int64)
+            stats["delta_builds"] += len(fresh)
+            if len(fresh):
+                cache.update(zip(fresh.tolist(), _swap_deltas(
+                    x, a, fresh, len(self.weights), dh.dtype)))
+            for r in range(done, rung):
+                dh[r] = cache[int(self.heavies[r])]
+                dl[r] = cache[int(self.lights[r])]
+            # Old heavies x new lights, then new heavies x all lights,
+            # a few heavy ranks at a time.
+            for r0, r1, c0 in ((0, done, done), (done, rung, 0)):
+                step = max(1, _CHUNK // max(1, (rung - c0) * dh.shape[1]))
+                for i in range(r0, r1, step):
+                    stop = min(rung, int(self.valid[i]))
+                    if stop <= c0:
+                        break  # valid[] never grows with rank
+                    rows = slice(i, min(i + step, r1))
+                    gaps = (self.w_heavy[rows, None]
+                            - self.w_light[None, c0:stop])
+                    stats["pairs_evaluated"] += int((gaps > 0).sum())
+                    if dh.shape[1]:
+                        self._fill(dim, i, c0, dh[rows], dl[c0:stop], gaps)
+        sumsq, spread, pick = self.table[:, :, :rung, :rung]
+        low = sumsq.min(initial=_NONE)
+        if low == _NONE:
+            return None
+        tied = np.where(sumsq == low, spread, _NONE)
+        at = np.unravel_index(int(tied.argmin()), sumsq.shape)
+        iu, ju, _ = _upper_triangle(len(self.dims[at[0]][0]))
+        return (int(at[0]), int(iu[pick[at]]), int(ju[pick[at]]),
+                (int(low), int(spread[at])))
+
+    def _fill(self, dim: int, i: int, c0: int, dh: np.ndarray,
+              dl: np.ndarray, gaps: np.ndarray) -> None:
+        """Table entries from heavy rank i and light rank c0 on."""
+        x, a, _, _, _, objective = self.dims[dim]
+        iu, ju, _ = _upper_triangle(len(x))
+        new_gap = dh[:, None, :] - dl[None, :, :]
+        new_gap += gaps.astype(dh.dtype)[:, :, None]
+        np.abs(new_gap, out=new_gap)
+        pick = new_gap.argmin(axis=2)  # first minimum, as the scan
+        hit = np.take_along_axis(new_gap, pick[..., None], 2)[..., 0] < gaps
+        pick = pick[hit]
+        todo = np.unique(pick[objective[0, pick] < 0])
+        span = max(1, _CHUNK // len(self.weights))
+        for u in range(0, len(todo), span):
+            part = todo[u:u + span]
+            objective[:, part] = _swap_objectives(x, a, iu[part], ju[part],
+                                                  self.weights)
+        sumsq, spread = objective[:, pick]
+        better = (sumsq < self.current[0]) | (
+            (sumsq == self.current[0]) & (spread < self.current[1]))
+        hi, li = np.nonzero(hit)
+        self.table[:, dim, hi[better] + i, li[better] + c0] = (
+            sumsq[better], spread[better], pick[better])
 
 
 def entry_exchange(directory: GridDirectory, num_sites: int,
@@ -223,14 +320,6 @@ def rebalance_assignment(directory: GridDirectory, num_sites: int,
     """
     if directory.assignment is None:
         raise RuntimeError("directory has no assignment to rebalance")
-
-    def objective(w: np.ndarray):
-        # Lexicographic: sum of squares first (strictly decreases on any
-        # useful move, so the search climbs through equal-spread
-        # plateaus), load spread second.
-        w = w.astype(np.float64)
-        return (float((w * w).sum()), load_spread(w.astype(np.int64)))
-
     stats = last_rebalance_stats
     stats.update(iterations=0, widenings=0, delta_builds=0,
                  pairs_evaluated=0)
@@ -240,55 +329,17 @@ def rebalance_assignment(directory: GridDirectory, num_sites: int,
     pool_limit = (num_sites if max_pool is None
                   else min(num_sites, max(pool, max_pool)))
     weights = directory.tuples_per_site(num_sites)
-    current = objective(weights)
-    # All three caches describe the *current* directory/weights state;
-    # they survive stuck-pool widenings and are flushed on every applied
-    # swap.
-    slice_cache = {}  # dim -> (x, a)
-    delta_cache = {}  # dim -> {processor: delta matrix}
-    rejected = set()  # (dim, heavy, light) pairs proven non-improving
+    # Sum of squares first (it drops on any useful move, so the climb
+    # crosses equal-spread plateaus), load spread second.
+    current = (int(weights @ weights), load_spread(weights))
+    ladder = None  # the current directory state's ladder
     for _ in range(max_iterations):
         stats["iterations"] += 1
         if current[1] == 0:
             break
-        order = np.argsort(weights)
-        lights = [int(p) for p in order[:pool]]
-        heavies = [int(p) for p in order[-pool:][::-1]]
-        candidates = set(lights) | set(heavies)
-        best = None  # (objective, dim, s1, s2)
-        best_weights = None
-        for dim in range(directory.ndim):
-            if dim not in slice_cache:
-                slice_cache[dim] = _slice_matrices(directory, dim)
-            x, a = slice_cache[dim]
-            deltas = delta_cache.setdefault(dim, {})
-            for p in candidates:
-                if p not in deltas:
-                    deltas[p] = _swap_delta(x, a, p)
-                    stats["delta_builds"] += 1
-            for heavy in heavies:
-                for light in lights:
-                    if weights[heavy] <= weights[light]:
-                        continue
-                    key = (dim, heavy, light)
-                    if key in rejected:
-                        continue
-                    stats["pairs_evaluated"] += 1
-                    gap = int(weights[heavy] - weights[light])
-                    cand = _best_pair(deltas[heavy], deltas[light], gap)
-                    if cand is None:
-                        rejected.add(key)
-                        continue
-                    _, s1, s2 = cand
-                    new_weights = _weights_after_swap(
-                        x, a, s1, s2, weights, num_sites)
-                    new_obj = objective(new_weights)
-                    if new_obj < current and (
-                            best is None or new_obj < best[0]):
-                        best = (new_obj, dim, s1, s2)
-                        best_weights = new_weights
-                    elif new_obj >= current:
-                        rejected.add(key)
+        if ladder is None:
+            ladder = _Ladder(directory, weights, pool_limit, current)
+        best = ladder.climb(min(pool, pool_limit), stats)
         if best is None:
             # Stuck with this candidate pool: widen it before giving up.
             if pool >= pool_limit:
@@ -296,13 +347,11 @@ def rebalance_assignment(directory: GridDirectory, num_sites: int,
             pool = min(pool * 2, pool_limit)
             stats["widenings"] += 1
             continue
-        _, dim, s1, s2 = best
-        _apply_swap(directory, dim, s1, s2)
+        dim, s1, s2, current = best
+        assign = np.moveaxis(directory.assignment, dim, 0)
+        assign[[s1, s2]] = assign[[s2, s1]]
+        weights = directory.tuples_per_site(num_sites)
         swaps += 1
-        weights = best_weights
-        current = best[0]
         pool = max(1, candidate_processors)
-        slice_cache.clear()
-        delta_cache.clear()
-        rejected.clear()
+        ladder = None
     return swaps

@@ -68,8 +68,9 @@ class TestWideningTermination:
         d = local_optimum(256)
         swaps = rebalance_assignment(d, 256, max_pool=None)
         assert swaps == 0
-        # Doubling from 3 reaches 256 within 8 widenings; the rejected-
-        # pair cache keeps total evaluations ~P^2, not widenings * P^2.
+        # Doubling from 3 reaches 256 within 8 widenings; each rung
+        # evaluates only the pairs it adds to the last one, so total
+        # evaluations stay ~P^2, not widenings * P^2.
         assert last_rebalance_stats["widenings"] <= 8
         assert last_rebalance_stats["pairs_evaluated"] <= 2 * 256 * 256
 
