@@ -52,10 +52,11 @@ KERNEL_FULL = dict(measured_queries=100, repeat=4)
 KERNEL_SPEEDUP_FLOOR = 1.5
 
 PARALLEL_JOBS = (1, 2, 4)
+PARALLEL_ROUNDS = 3
 CPU_AMPLIFICATION_CEILING = 1.25
 WALL_SPEEDUP_FLOOR = 1.3
 
-TRACE_CEILING = 3.0
+TRACE_CEILING = 2.0
 LATENCY_CEILING = 1.3
 
 SCALEUP_SITES = (1024,)
@@ -206,15 +207,17 @@ def _fig8a(**options):
     return time.perf_counter() - started, result
 
 
-def _cpu_now() -> float:
-    """CPU seconds of this process and its reaped children.
+def _usage_now():
+    """(user s, system s, minor faults) of this process and its reaped
+    children.
 
     Pool workers are children; the executor joins them before a run
-    returns, so RUSAGE_CHILDREN has absorbed every worker's time.
+    returns, so RUSAGE_CHILDREN has absorbed every worker's usage.
     """
     own = resource.getrusage(resource.RUSAGE_SELF)
     kids = resource.getrusage(resource.RUSAGE_CHILDREN)
-    return own.ru_utime + own.ru_stime + kids.ru_utime + kids.ru_stime
+    return (own.ru_utime + kids.ru_utime, own.ru_stime + kids.ru_stime,
+            own.ru_minflt + kids.ru_minflt)
 
 
 def test_parallel_cpu_amplification():
@@ -222,16 +225,27 @@ def test_parallel_cpu_amplification():
 
     CPU seconds do not inflate with time-slicing on an oversubscribed
     host the way wall time does, so the ceiling holds on any core
-    count.  The wall-time floor needs at least four usable cores.
+    count.  The wall-time floor needs at least four usable cores.  The
+    arms run interleaved, PARALLEL_ROUNDS times, and each keeps its
+    best (lowest-CPU) round: the host's speed drifts between rounds,
+    and a fixed serial-first order would charge that drift to one arm.
     """
     walls, cpus, results = {}, {}, {}
+    for round_ in range(PARALLEL_ROUNDS):
+        for jobs in PARALLEL_JOBS:
+            # Every arm pays the same relation/placement builds.
+            clear_memos()
+            before = _usage_now()
+            wall, results[jobs] = _fig8a(jobs=jobs)
+            user, system, faults = (after - start for after, start
+                                    in zip(_usage_now(), before))
+            print(f"\nround {round_} jobs={jobs}: {wall:.3f} s wall, "
+                  f"{user:.3f} s user, {system:.3f} s sys, "
+                  f"{faults} minor faults")
+            if user + system < cpus.get(jobs, float("inf")):
+                walls[jobs], cpus[jobs] = wall, user + system
     for jobs in PARALLEL_JOBS:
-        # Every arm pays the same relation/placement builds.
-        clear_memos()
-        cpu_started = _cpu_now()
-        walls[jobs], results[jobs] = _fig8a(jobs=jobs)
-        cpus[jobs] = _cpu_now() - cpu_started
-        print(f"\njobs={jobs}: {walls[jobs]:.3f} s wall, "
+        print(f"jobs={jobs} best: {walls[jobs]:.3f} s wall, "
               f"{cpus[jobs]:.3f} s CPU, {cpus[jobs] / cpus[1]:.3f}x CPU, "
               f"{walls[1] / walls[jobs]:.3f}x wall speedup")
     for jobs in PARALLEL_JOBS[1:]:
@@ -245,7 +259,7 @@ def test_parallel_cpu_amplification():
 
 
 def test_capture_overhead():
-    """Full tracing costs < 3.0x, latency-only capture < 1.3x.
+    """Full tracing costs < 2.0x, latency-only capture < 1.3x.
 
     Neither may change the simulation.  One untimed run first warms the
     relation and placement memos, so no timed arm pays their builds.

@@ -120,6 +120,8 @@ class Placement(ABC):
             raise ValueError(
                 f"fragments hold {total} tuples, relation has "
                 f"{relation.cardinality}: placement is not a partition")
+        #: attribute -> (sorted keys, lowest value, width)
+        self._count_keys: Dict[str, Tuple[np.ndarray, int, int]] = {}
 
     # -- structure -----------------------------------------------------------
 
@@ -142,11 +144,32 @@ class Placement(ABC):
     # -- data-dependent answers ---------------------------------------------------
 
     def qualifying_counts(self, predicate: RangePredicate) -> np.ndarray:
-        """Per-site count of fragment tuples satisfying *predicate*."""
-        return np.array(
-            [f.count_in_range(predicate.attribute, predicate.low, predicate.high)
-             for f in self._fragments],
-            dtype=np.int64)
+        """Per-site count of fragment tuples satisfying *predicate*.
+
+        Tuples are keyed ``site * width + value - lowest`` (values are
+        integers), one sorted array per attribute, so two binary searches
+        answer every site at once.
+        """
+        index = self._count_keys.get(predicate.attribute)
+        if index is None:
+            values = np.concatenate(
+                [f.values(predicate.attribute) for f in self._fragments])
+            lowest = int(values.min(initial=0))
+            width = int(values.max(initial=0)) - lowest + 1
+            keys = np.repeat(
+                np.arange(0, self.num_sites * width, width, dtype=np.int64),
+                [f.cardinality for f in self._fragments])
+            keys += values
+            keys -= lowest
+            keys.sort()
+            index = (keys, lowest, width)
+            self._count_keys[predicate.attribute] = index
+        keys, lowest, width = index
+        base = np.arange(0, self.num_sites * width, width, dtype=np.int64)
+        low = min(max(predicate.low - lowest, 0), width)
+        high = min(max(predicate.high - lowest, -1), width - 1)
+        return (np.searchsorted(keys, base + high, side="right")
+                - np.searchsorted(keys, base + low, side="left"))
 
     # -- strategy-specific ----------------------------------------------------------
 

@@ -234,7 +234,7 @@ class QueryScheduler:
         # Step 2: the selection proper on each target site.
         targets = decision.target_sites
         if targets:
-            counts = placement.qualifying_counts(predicate)
+            counts = placement.qualifying_counts(predicate).tolist()
             clustered = self.catalog.entry(relation).indexes.get(
                 predicate.attribute, False)
             handle.pending_done = len(targets)
@@ -249,7 +249,7 @@ class QueryScheduler:
                                       relation=relation,
                                       attribute=predicate.attribute,
                                       clustered_index=clustered,
-                                      matches=int(counts[site]),
+                                      matches=counts[site],
                                       reply_to=self.node_id,
                                       position=position))
                  for site in targets],
@@ -312,7 +312,7 @@ class QueryScheduler:
             [(site, SelectRequest(query_id=handle.query_id, site=site,
                                   relation=relation, attribute=attribute,
                                   clustered_index=clustered,
-                                  matches=int(counts[site]),
+                                  matches=counts[site],
                                   reply_to=self.node_id,
                                   position=position))
              for site in sites],

@@ -7,8 +7,7 @@ those explanations reproducible from a run:
 * :mod:`~repro.obs.registry` -- hierarchical Counter / Gauge /
   LatencySketch / Timeline instruments (``node.3.disk.reads``);
 * :mod:`~repro.obs.spans` -- per-query span trees with queue-wait vs.
-  service-time per resource, stored in the bounded
-  :class:`~repro.des.trace.Tracer`;
+  service-time per resource, stored column-wise in a bounded log;
 * :mod:`~repro.obs.sampler` -- utilization timelines sampled at a
   configurable interval;
 * :mod:`~repro.obs.export` -- JSONL and Prometheus-text exporters plus

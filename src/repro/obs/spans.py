@@ -8,27 +8,36 @@ service-time split, which is what the paper's §7 commentary is built
 from (e.g. MAGIC's scheduler-CPU saturation at high multiprogramming
 levels).
 
-The storage backend is the existing bounded
-:class:`repro.des.trace.Tracer`: every span is appended as one
-``TraceEntry`` of kind ``"span"`` the moment it closes, so memory stays
-bounded on long runs (eviction is counted) and the usual ``query()``
-filtering works on spans too.  :class:`SpanLog` additionally keeps an
-O(query types x resources) running aggregate so the summary table
-survives tracer eviction.
+Closed spans are stored column-wise (56 bytes a span) and turned back
+into records only on export (:meth:`SpanLog.entries`); the newest
+``capacity`` spans are kept, and a running O(query types x resources)
+aggregate keeps the "why" table whole past eviction.  The layout and the
+eviction rule are described in ``docs/observability.md``.
 """
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..des.environment import Environment
-from ..des.trace import TraceEntry, Tracer
+from ..des.trace import TraceEntry
 
 __all__ = ["Span", "QueryTrace", "SpanLog", "SPAN_KIND",
            "UnknownQueryError"]
 
-#: The Tracer entry kind under which closed spans are stored.
+#: The entry kind of every exported span.
 SPAN_KIND = "span"
+
+#: Column type codes: trace, span, parent (-1 for a root), interned
+#: name, interned query type, start, end, wait, service (NaN for both
+#: on a non-leaf span).
+_COLUMNS = "qiiiidddd"
+_NO_PARENT = -1
+_NOT_A_LEAF = float("nan")
+
+#: Pending values moved into the columns at once (4,096 rows).
+_SPILL_VALUES = len(_COLUMNS) * 4096
 
 
 class UnknownQueryError(KeyError):
@@ -75,16 +84,17 @@ class QueryTrace:
 
     Spans are emitted to the backing :class:`SpanLog` when finished;
     the trace object itself only tracks open spans, so a finished query
-    leaves nothing behind but log entries.
+    leaves nothing behind but log rows.
     """
 
     __slots__ = ("log", "query_id", "query_type", "root", "_next_span_id",
-                 "_open")
+                 "_open", "_qtype_id")
 
     def __init__(self, log: "SpanLog", query_id: int, query_type: str):
         self.log = log
         self.query_id = query_id
         self.query_type = query_type
+        self._qtype_id = log._ids.setdefault(query_type, len(log._ids))
         self._next_span_id = 0
         self._open: Dict[int, Span] = {}
         self.root = self.start("query", parent=None)
@@ -106,7 +116,13 @@ class QueryTrace:
         if attrs:
             span.attrs.update(attrs)
         self._open.pop(span.span_id, None)
-        self.log._emit(self, span, span.start, self.log.env.now)
+        log = self.log
+        parent_id = span.parent_id
+        log._add((self.query_id, span.span_id,
+                  _NO_PARENT if parent_id is None else parent_id,
+                  log._ids.setdefault(span.name, len(log._ids)),
+                  self._qtype_id, span.start, log.env.now, _NOT_A_LEAF,
+                  _NOT_A_LEAF), span.attrs)
 
     def resource(self, parent: Optional[Span], resource: str,
                  wait: float, service: float, **attrs: Any) -> None:
@@ -116,15 +132,25 @@ class QueryTrace:
         time holding the resource; the leaf's interval is
         ``[now - wait - service, now]``.
         """
-        now = self.log.env.now
-        span = Span(self, self._next_span_id,
-                    parent.span_id if parent is not None else None,
-                    resource, now - wait - service,
-                    dict(attrs, resource=resource, wait=wait,
-                         service=service))
-        self._next_span_id += 1
-        self.log._emit(self, span, span.start, now)
-        self.log._aggregate(self.query_type, resource, wait, service)
+        log = self.log
+        now = log.env.now
+        span_id = self._next_span_id
+        self._next_span_id = span_id + 1
+        log._add((self.query_id, span_id,
+                  parent.span_id if parent is not None else _NO_PARENT,
+                  log._ids.setdefault(resource, len(log._ids)),
+                  self._qtype_id, now - wait - service, now, wait,
+                  service), attrs)
+        by_resource = log.resource_totals.get(self.query_type)
+        if by_resource is None:
+            by_resource = log.resource_totals[self.query_type] = {}
+        totals = by_resource.get(resource)
+        if totals is None:
+            by_resource[resource] = [wait, service, 1]
+        else:
+            totals[0] += wait
+            totals[1] += service
+            totals[2] += 1
 
     @property
     def open_spans(self) -> int:
@@ -134,17 +160,20 @@ class QueryTrace:
 class SpanLog:
     """Collects the spans of every traced query of one simulation run."""
 
-    def __init__(self, env: Environment, capacity: int = 200_000,
-                 tracer: Optional[Tracer] = None):
+    def __init__(self, env: Environment, capacity: int = 200_000):
+        if capacity < 1:
+            raise ValueError("capacity must be >= 1")
         self.env = env
-        self.tracer = tracer if tracer is not None else Tracer(
-            env, capacity=capacity)
+        self.capacity = capacity
         self.active: Dict[int, QueryTrace] = {}
         self.finished = 0
         #: Traces force-closed by :meth:`flush` at the end of a run.
         self.truncated = 0
         #: query type -> resource -> [wait_seconds, service_seconds, count]
         self.resource_totals: Dict[str, Dict[str, List[float]]] = {}
+        #: Span name or query type -> its index in the name columns.
+        self._ids: Dict[str, int] = {}
+        self._clear_columns()
 
     # -- trace lifecycle ---------------------------------------------------
 
@@ -205,7 +234,7 @@ class SpanLog:
         """
         self.env = None
         self.active.clear()
-        self.tracer.detach()
+        self._spill()
         return self
 
     def __getstate__(self):
@@ -216,31 +245,59 @@ class SpanLog:
 
     # -- storage ---------------------------------------------------------
 
-    def _emit(self, trace: QueryTrace, span: Span, start: float,
-              end: float) -> None:
-        self.tracer.record(
-            SPAN_KIND, trace=trace.query_id, qtype=trace.query_type,
-            span=span.span_id, parent=span.parent_id, name=span.name,
-            start=start, end=end, **span.attrs)
+    def _clear_columns(self) -> None:
+        self._columns = tuple(array(code) for code in _COLUMNS)
+        #: Rows not yet in the columns, flattened.
+        self._pending: List[Any] = []
+        #: Emit sequence number -> extra attributes of that span.
+        self._extras: Dict[int, Dict[str, Any]] = {}
+        self._emitted = 0
 
-    def _aggregate(self, query_type: str, resource: str,
-                   wait: float, service: float) -> None:
-        by_resource = self.resource_totals.setdefault(query_type, {})
-        totals = by_resource.get(resource)
-        if totals is None:
-            by_resource[resource] = [wait, service, 1]
-        else:
-            totals[0] += wait
-            totals[1] += service
-            totals[2] += 1
+    def _add(self, row: tuple, extras: Dict[str, Any]) -> None:
+        if extras:
+            self._extras[self._emitted] = extras
+        self._emitted += 1
+        self._pending += row
+        if len(self._pending) >= _SPILL_VALUES:
+            self._spill()
+
+    def _spill(self) -> None:
+        """Move the pending rows into the columns, then evict the
+        oldest rows beyond ``capacity``."""
+        pending = self._pending
+        retained = len(self._columns[0]) + len(pending) // len(_COLUMNS)
+        evicted = max(retained - self.capacity, 0)
+        for index, column in enumerate(self._columns):
+            column.fromlist(pending[index::len(_COLUMNS)])
+            del column[:evicted]
+        pending.clear()
+        first = self._emitted - len(self._columns[0])
+        if self._extras and next(iter(self._extras)) < first:
+            self._extras = {seq: extras for seq, extras
+                            in self._extras.items() if seq >= first}
 
     def entries(self) -> Iterator[TraceEntry]:
-        """All retained span entries, oldest first."""
-        return self.tracer.query(kind=SPAN_KIND)
+        """All retained spans, oldest first; an entry's ``time`` is when
+        its span closed."""
+        self._spill()
+        strings = list(self._ids)
+        first = self._emitted - len(self._columns[0])
+        for seq, (trace, span, parent, name, qtype, start, end, wait,
+                  service) in enumerate(zip(*self._columns), first):
+            details = {"trace": trace, "qtype": strings[qtype],
+                       "span": span,
+                       "parent": None if parent == _NO_PARENT else parent,
+                       "name": strings[name], "start": start, "end": end}
+            details.update(self._extras.get(seq, ()))
+            if wait == wait:  # a leaf: non-leaf rows hold NaN
+                details["resource"] = strings[name]
+                details["wait"] = wait
+                details["service"] = service
+            yield TraceEntry(end, seq + 1, SPAN_KIND, details)
 
     def span_count(self) -> int:
-        """Spans emitted so far (including any evicted from the tracer)."""
-        return self.tracer.count(SPAN_KIND)
+        """Spans emitted so far (including any evicted by the bound)."""
+        return self._emitted
 
     def reset(self) -> None:
         """Drop retained spans and aggregates (start of measurement window).
@@ -248,7 +305,7 @@ class SpanLog:
         Traces still in flight keep their open spans; only finished
         history is discarded.
         """
-        self.tracer.clear()
+        self._clear_columns()
         self.resource_totals.clear()
         self.finished = 0
         self.truncated = 0

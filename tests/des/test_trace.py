@@ -156,21 +156,3 @@ class TestQueryFiltering:
         tracer.record("io", node=1)
         tracer.record("io")  # no node detail at all
         assert len(list(tracer.query(kind="io", node=1))) == 1
-
-    def test_span_layer_records_through_tracer(self, env):
-        # The obs span log stores its spans as plain tracer entries, so
-        # the tracer's filtering works on spans like any other kind.
-        from repro.obs import SPAN_KIND, SpanLog
-
-        tracer = Tracer(env, capacity=3)
-        log = SpanLog(env, tracer=tracer)
-        trace = log.begin(1, "QA")
-        for _ in range(4):
-            trace.resource(trace.root, "node.cpu", wait=0.0, service=0.1)
-        log.end(1)
-        # 5 spans through capacity 3: bounded, eviction counted, and
-        # kind/detail filtering applies.
-        assert tracer.evicted == 2
-        assert tracer.count(SPAN_KIND) == 5
-        assert log.span_count() == 5
-        assert len(list(tracer.query(kind=SPAN_KIND, qtype="QA"))) == 3

@@ -176,6 +176,44 @@ class TestFlushAndDetach:
         assert clone.active == {}
 
 
+class TestEviction:
+    def test_capacity_keeps_newest_spans(self, env):
+        log = SpanLog(env, capacity=5)
+        trace = log.begin(1, "QA")
+        for i in range(12):
+            env.run(until=float(i + 1))
+            trace.resource(trace.root, "node.cpu", wait=0.25 * i,
+                           service=0.5, pages=i)
+        records = list(span_records(log))
+        # Oldest evicted first, one at a time: the newest five remain,
+        # in emit order, with their extra attributes.
+        assert [r["span"] for r in records] == [8, 9, 10, 11, 12]
+        assert [r["pages"] for r in records] == [7, 8, 9, 10, 11]
+        assert log.span_count() == 12
+        # The aggregate covers all twelve, summed in emit order.
+        expected_wait = 0.0
+        for i in range(12):
+            expected_wait += 0.25 * i
+        assert log.resource_totals["QA"]["node.cpu"] == [
+            expected_wait, 0.5 * 12, 12]
+
+    def test_capacity_bounds_retained_spans(self, env):
+        log = SpanLog(env, capacity=3)
+        trace = log.begin(1, "QA")
+        for _ in range(4):
+            trace.resource(trace.root, "node.cpu", wait=0.0, service=0.1)
+        log.end(1)
+        # 5 spans through capacity 3: bounded, eviction counted.
+        assert log.span_count() == 5
+        records = list(span_records(log))
+        assert [r["span"] for r in records] == [3, 4, 0]
+        assert all(r["qtype"] == "QA" for r in records)
+
+    def test_invalid_capacity(self, env):
+        with pytest.raises(ValueError):
+            SpanLog(env, capacity=0)
+
+
 class TestForestValidation:
     def test_detects_missing_parent(self):
         records = [
