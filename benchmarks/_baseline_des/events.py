@@ -179,6 +179,22 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay!r}>"
 
 
+class Hold:
+    """Forward-compat shim, not part of the original kernel: what
+    ``Resource.hold(d)`` returns here, a request and the time to hold
+    it.  The shared model source now claims every server with
+    ``wait = yield res.hold(d)``; :class:`Process` waits for the grant,
+    then on a ``Timeout`` of ``d``, then releases -- the request, timeout
+    and release the pre-change model made per service burst, so the
+    baseline keeps its original per-burst cost profile."""
+
+    __slots__ = ("request", "duration")
+
+    def __init__(self, request: Event, duration: float):
+        self.request = request
+        self.duration = duration
+
+
 class Process(Event):
     """A simulation process wrapping a generator.
 
@@ -188,7 +204,7 @@ class Process(Event):
     finish simply by yielding it.
     """
 
-    __slots__ = ("_generator", "_waiting_on")
+    __slots__ = ("_generator", "_waiting_on", "_hold")
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -273,6 +289,11 @@ class Process(Event):
             # per-sleep cost profile.
             if isinstance(target, (int, float)) and not isinstance(target, bool):
                 target = self.env.timeout(target)
+            elif type(target) is Hold:
+                self._hold = target
+                self._waiting_on = target.request
+                target.request._add_callback(self._hold_granted)
+                return
             else:
                 raise SimulationError(
                     f"process yielded {target!r}, which is not an Event")
@@ -280,6 +301,19 @@ class Process(Event):
             raise SimulationError("cannot wait on an event of another Environment")
         self._waiting_on = target
         target._add_callback(self._resume)
+
+    def _hold_granted(self, request: Event) -> None:
+        """Hold shim: serve for the duration; the timeout carries the
+        grant's wait to the generator."""
+        timeout = self.env.timeout(self._hold.duration, request._value)
+        self._waiting_on = timeout
+        timeout._add_callback(self._hold_served)
+
+    def _hold_served(self, timeout: Event) -> None:
+        """Hold shim: release the server, then resume the generator."""
+        hold, self._hold = self._hold, None
+        hold.request.resource.release(hold.request)
+        self._resume(timeout)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         name = getattr(self._generator, "__name__", "process")

@@ -20,7 +20,7 @@ from collections import deque
 from typing import Any, Deque, List, Optional, Tuple
 
 from .environment import Environment
-from .events import Event, SimulationError
+from .events import Event, Hold, SimulationError
 
 __all__ = ["Request", "Resource", "PriorityResource", "Store"]
 
@@ -87,6 +87,11 @@ class Resource:
         self._enqueue(req)
         self._grant_next()
         return req
+
+    def hold(self, duration: float, priority: int = 0) -> Hold:
+        """Forward-compat shim (see :class:`~.events.Hold`): claim one
+        server for *duration*, then release it."""
+        return Hold(self.request(priority), duration)
 
     def release(self, request: Request) -> None:
         """Return the server held by *request* to the pool.

@@ -28,6 +28,7 @@ from .events import (
     AllOf,
     AnyOf,
     Event,
+    Hold,
     Interrupted,
     Process,
     SimulationError,
@@ -35,7 +36,6 @@ from .events import (
 )
 from .monitor import TallyMonitor, TimeWeightedMonitor, UtilizationMonitor
 from .resources import PriorityResource, Request, Resource, Store
-from .trace import TraceEntry, Tracer
 
 __all__ = [
     "Environment",
@@ -43,6 +43,7 @@ __all__ = [
     "URGENT",
     "Event",
     "Timeout",
+    "Hold",
     "Process",
     "AllOf",
     "AnyOf",
@@ -56,6 +57,4 @@ __all__ = [
     "TallyMonitor",
     "TimeWeightedMonitor",
     "UtilizationMonitor",
-    "Tracer",
-    "TraceEntry",
 ]

@@ -33,6 +33,17 @@ the processing order is identical to a proxy-event design.  The run
 loops in :meth:`Environment.run` inline the body of :meth:`step` with
 the agenda and ``heappop`` bound locally -- worth ~10% of the event loop
 on its own; :meth:`step` remains the single-event public API.
+
+Hold elision
+------------
+``Resource.hold`` may push its end-of-hold entry without the grant entry
+in between (:class:`~repro.des.events.Hold`).  That is exact only if the
+grant entry would have been the very next entry popped with nothing
+pushed before it, so the run loops tell the kernel when it is not: the
+multi-callback branch clears ``_elide`` while the further callbacks of
+an entry may still push, :meth:`step` clears it for good (the caller
+may push between steps), and ``_until`` holds the event a
+``run(until=event)`` stops at.
 """
 
 from __future__ import annotations
@@ -53,6 +64,9 @@ from .events import (
 )
 
 __all__ = ["Environment", "URGENT", "NORMAL"]
+
+#: ``Environment._until`` outside ``run(until=event)``: never processed.
+_NO_SENTINEL = Event(None)
 
 
 class Environment:
@@ -76,7 +90,8 @@ class Environment:
     # every scheduled entry; __slots__ turns those into fixed-offset
     # loads instead of instance-dict lookups.
     __slots__ = ("_now", "_agenda", "_seq", "_active_process",
-                 "invariants", "_tolerate_process_failures")
+                 "invariants", "_tolerate_process_failures", "_elide",
+                 "_until")
 
     def __init__(self, initial_time: float = 0.0,
                  tolerate_process_failures: bool = False):
@@ -96,6 +111,9 @@ class Environment:
         # (False): a crashing component is a bug and should surface
         # immediately.
         self._tolerate_process_failures = bool(tolerate_process_failures)
+        # Hold elision switches (see the module docstring).
+        self._elide = False
+        self._until = _NO_SENTINEL
 
     # -- clock -------------------------------------------------------------
 
@@ -189,6 +207,7 @@ class Environment:
 
         Raises :class:`IndexError` when the agenda is empty.
         """
+        self._elide = False
         entry = heappop(self._agenda)
         when = entry[0]
         if self.invariants is not None:
@@ -228,6 +247,8 @@ class Environment:
 
         pop = heappop
         agenda = self._agenda
+        self._elide = True
+        self._until = _NO_SENTINEL
         if until is None:
             while agenda:
                 entry = pop(agenda)
@@ -241,14 +262,16 @@ class Environment:
                         if len(callbacks) == 1:
                             callbacks[0](event)
                         else:
+                            self._elide = False
                             for callback in callbacks:
                                 callback(event)
+                            self._elide = True
                 else:
                     entry[3](entry[4])
             return None
 
         if isinstance(until, Event):
-            sentinel = until
+            sentinel = self._until = until
             while not sentinel._processed:
                 if not agenda:
                     raise AgendaEmptyError(
@@ -264,8 +287,10 @@ class Environment:
                         if len(callbacks) == 1:
                             callbacks[0](event)
                         else:
+                            self._elide = False
                             for callback in callbacks:
                                 callback(event)
+                            self._elide = True
                 else:
                     entry[3](entry[4])
             return sentinel.value
@@ -285,8 +310,10 @@ class Environment:
                     if len(callbacks) == 1:
                         callbacks[0](event)
                     else:
+                        self._elide = False
                         for callback in callbacks:
                             callback(event)
+                        self._elide = True
             else:
                 entry[3](entry[4])
         self._now = horizon

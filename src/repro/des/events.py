@@ -29,7 +29,12 @@ avoid work the original, more uniform design paid per event:
   simulated result -- is bit-identical to the proxy-based design.
 * :class:`Process` caches the bound ``_resume`` callback and the
   generator's ``send``/``throw`` methods once at creation; the original
-  allocated a fresh bound method per yield.
+  allocated a fresh bound method per yield.  The cached callback points
+  back at its process, so it is dropped when the generator ends: a
+  finished process is then freed by reference counting instead of
+  waiting in a cycle for the cycle collector.
+* A :class:`Hold` (``Resource.hold``) runs a whole service burst --
+  grant, service, release -- with one resume of the holder.
 * :meth:`Event.succeed`, :meth:`Event.fail` and ``Timeout.__init__``
   push their agenda entry inline rather than via a method call.
 """
@@ -45,6 +50,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for type checkers
 __all__ = [
     "Event",
     "Timeout",
+    "Hold",
     "Process",
     "AllOf",
     "AnyOf",
@@ -110,8 +116,8 @@ _BOOTSTRAP = _Outcome()
 _WAKE = _Outcome()
 
 #: Marker stored in ``Process._waiting_on`` while the process sleeps on
-#: a bare delay.  There is no event to detach a callback from, so
-#: interrupting in this state is rejected.
+#: a bare delay or a hold.  There is no event to detach a callback
+#: from, so interrupting in this state is rejected.
 _SLEEPING = object()
 
 
@@ -253,6 +259,39 @@ class Timeout(Event):
         return f"<Timeout delay={self.delay!r}>"
 
 
+class Hold(Event):
+    """A claim on a resource held for a fixed ``duration``
+    (``Resource.hold``).
+
+    ``wait = yield res.hold(d)`` does what ``req = res.request(); yield
+    req; yield d; res.release(req)`` does -- same agenda entries, monitor
+    updates and wait value -- but the holder is resumed once, after the
+    release (:func:`_end_hold`).  A hold that finds a server free is
+    granted in place and reserves its grant entry's sequence number;
+    :meth:`Process._resume` pushes that entry, or elides it, when the
+    hold is yielded.
+    """
+
+    __slots__ = ("resource", "priority", "enqueued_at", "duration",
+                 "_grant_seq", "_resume_cb")
+
+
+def _start_hold(hold: Hold) -> None:
+    """Grant callback: hold the server for the hold's duration."""
+    env = hold.env
+    env._seq += 1
+    heappush(env._agenda, (env._now + hold.duration, NORMAL, env._seq,
+                           _end_hold, hold))
+
+
+def _end_hold(hold: Hold) -> None:
+    """Release the server, then resume the holder with the wait."""
+    hold.resource.release(hold)
+    resume = hold._resume_cb
+    hold._resume_cb = None  # a finished hold refers to no process
+    resume(hold)
+
+
 class Process(Event):
     """A simulation process wrapping a generator.
 
@@ -298,8 +337,9 @@ class Process(Event):
         waited = self._waiting_on
         if waited is _SLEEPING:
             raise SimulationError(
-                "cannot interrupt a process sleeping on a bare delay; "
-                "wait on env.timeout() where interruption is needed")
+                "cannot interrupt a process sleeping on a bare delay or "
+                "a resource hold; wait on env.timeout() or a request "
+                "where interruption is needed")
         if waited is not None and waited.callbacks is not None:
             try:
                 waited.callbacks.remove(self._resume_cb)
@@ -326,6 +366,9 @@ class Process(Event):
                 target = self._throw(event._exception)
         except StopIteration as stop:
             env._active_process = None
+            # The bound callback refers back to this process: dropping it
+            # on every exit path lets reference counting free the process.
+            self._resume_cb = None
             self._value = stop.value
             env._seq += 1
             if self.callbacks:
@@ -346,6 +389,7 @@ class Process(Event):
         except Interrupted as exc:
             # An unhandled interrupt terminates the process as failed.
             env._active_process = None
+            self._resume_cb = None
             self._exception = exc
             self._value = None
             env._seq += 1
@@ -357,6 +401,7 @@ class Process(Event):
             return
         except BaseException as exc:
             env._active_process = None
+            self._resume_cb = None
             self._exception = exc
             self._value = None
             env._seq += 1
@@ -369,6 +414,29 @@ class Process(Event):
                 raise
             return
         env._active_process = None
+
+        if type(target) is Hold:
+            target._resume_cb = self._resume_cb
+            self._waiting_on = _SLEEPING
+            seq = target._grant_seq
+            if seq:
+                # Granted in place under a reserved sequence number.
+                # Elide the grant entry when it would be popped next with
+                # nothing pushed before it: nothing was pushed since
+                # hold(), nothing is due now, and neither a further
+                # callback of this entry nor the end of run(until=event)
+                # comes first.
+                agenda = env._agenda
+                now = env._now
+                if (seq == env._seq and env._elide
+                        and (not agenda or agenda[0][0] > now)
+                        and not env._until._processed):
+                    env._seq = seq = seq + 1
+                    heappush(agenda, (now + target.duration, NORMAL, seq,
+                                      _end_hold, target))
+                else:
+                    heappush(agenda, (now, NORMAL, seq, _start_hold, target))
+            return
 
         # Bare sleep: yielding a plain float schedules the wake entry
         # directly -- no Timeout allocation, no callback registration,

@@ -14,11 +14,14 @@ Three primitives cover everything the Gamma model needs:
 
 Hot-path design
 ---------------
-``request`` grants immediately -- no queue round-trip -- when a server
-is free and nobody waits (the overwhelmingly common case in the Gamma
-model, where most CPU bursts and NIC holds find the server idle).  The
-grant value and monitor observation are identical to the queued path's,
-so simulated results do not depend on which path ran.
+``request`` and ``hold`` grant immediately -- no queue round-trip --
+when a server is free and nobody waits (the overwhelmingly common case
+in the Gamma model, where most CPU bursts and NIC holds find the server
+idle).  The grant value and monitor observation are identical to the
+queued path's, so simulated results do not depend on which path ran.
+``hold(duration)`` is the whole claim-serve-release burst as one kernel
+call (:class:`~repro.des.events.Hold`); the Gamma model claims every
+server this way.
 :class:`PriorityResource` cancels queued requests by tombstoning their
 heap entry (O(1)) instead of scanning and re-heapifying (O(n)); the
 tombstones are skipped lazily when the scheduler pops the next grant.
@@ -31,7 +34,8 @@ from heapq import heappop, heappush
 from typing import Any, Deque, Dict, List, Optional
 
 from .environment import Environment
-from .events import _PENDING, NORMAL, Event, SimulationError
+from .events import (_PENDING, NORMAL, Event, Hold, SimulationError,
+                     _start_hold)
 
 __all__ = ["Request", "Resource", "PriorityResource", "Store"]
 
@@ -120,23 +124,55 @@ class Resource:
         req.resource = self
         req.priority = priority
         req.enqueued_at = env._now
-        users = self._users
-        if not self._waiting and len(users) < self.capacity:
-            # Uncontended fast grant: a server is free and nobody is
-            # queued ahead, so succeed in place (inlined: the request is
-            # known untriggered).  The grant value (the wait duration)
-            # is exactly what the queued path would compute:
-            # now - enqueued_at == 0.0.
-            users.append(req)
-            req._value = 0.0
+        if self._admit(req):
             env._seq += 1
             heappush(env._agenda, (env._now, NORMAL, env._seq, req))
+        return req
+
+    def hold(self, duration: float, priority: int = 0) -> Hold:
+        """Claim one server for *duration*, then release it.
+
+        ``wait = yield res.hold(d)`` must be yielded at once by the
+        holding process; it resumes after the release with the time it
+        queued before the grant.  A holding process cannot be
+        interrupted.
+        """
+        env = self.env
+        hold = Hold.__new__(Hold)
+        hold.env = env
+        hold._value = _PENDING
+        hold._exception = None
+        hold._processed = False
+        hold.resource = self
+        hold.priority = priority
+        hold.enqueued_at = env._now
+        hold.duration = duration
+        if self._admit(hold):
+            # The grant entry's sequence number, reserved here; the
+            # entry is pushed (or elided) when the hold is yielded.
+            env._seq += 1
+            hold._grant_seq = env._seq
+        else:
+            hold._grant_seq = 0
+            hold.callbacks = [_start_hold]
+        return hold
+
+    def _admit(self, req: Event) -> bool:
+        """Grant *req* in place if a server is free and nobody is queued
+        ahead (True; the caller schedules the grant), else queue it."""
+        users = self._users
+        if not self._waiting and len(users) < self.capacity:
+            # Inlined succeed(): the request is known untriggered.  The
+            # grant value (the wait duration) is exactly what the queued
+            # path would compute: now - enqueued_at == 0.0.
+            users.append(req)
+            req._value = 0.0
             monitor = self.monitor
             if monitor is not None:
                 # TimeWeightedMonitor.observe inlined: the simulation
                 # clock never runs backwards inside the event loop, so
                 # the method's backwards guard is unreachable here.
-                now = env._now
+                now = self.env._now
                 monitor._area += monitor._level * (now
                                                    - monitor._last_change)
                 level = len(users)
@@ -144,13 +180,13 @@ class Resource:
                 monitor._last_change = now
                 if level > monitor._max:
                     monitor._max = level
-        else:
-            self._enqueue(req)
-            # With every server busy (the usual reason to queue) there
-            # is nothing to grant; skip the call.
-            if len(users) < self.capacity and self._grant_next():
-                self._note_change()
-        return req
+            return True
+        self._enqueue(req)
+        # With every server busy (the usual reason to queue) there is
+        # nothing to grant; skip the call.
+        if len(users) < self.capacity and self._grant_next():
+            self._note_change()
+        return False
 
     def release(self, request: Request) -> None:
         """Return the server held by *request* to the pool.

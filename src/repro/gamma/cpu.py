@@ -33,7 +33,7 @@ class Cpu:
 
     __slots__ = ("env", "params", "name", "obs_label", "_server",
                  "monitor", "busy_seconds", "_instructions_per_second",
-                 "_request", "_release")
+                 "_hold")
 
     def __init__(self, env: Environment, params: SimulationParameters,
                  name: str = "cpu", obs_label: str = "node.cpu"):
@@ -44,13 +44,12 @@ class Cpu:
         self._server = PriorityResource(env, capacity=1)
         self.monitor = UtilizationMonitor.attach(self._server, name)
         self.busy_seconds = 0.0
-        # Hot-path caches: the instruction rate and the bound
-        # request/timeout callables, resolved once instead of per burst.
-        # Kept as the divisor (not its reciprocal) so the service time
-        # is bit-identical to params.instructions_to_seconds().
+        # Hot-path caches: the instruction rate and the bound hold,
+        # resolved once instead of per burst.  Kept as the divisor (not
+        # its reciprocal) so the service time is bit-identical to
+        # params.instructions_to_seconds().
         self._instructions_per_second = params.cpu_instructions_per_second
-        self._request = self._server.request
-        self._release = self._server.release
+        self._hold = self._server.hold
 
     def execute(self, instructions: float, priority: int = NORMAL_PRIORITY,
                 span=None):
@@ -65,27 +64,13 @@ class Cpu:
                 return
             raise ValueError(f"negative instruction count {instructions}")
         service = instructions / self._instructions_per_second
-        # Explicit release instead of the Request context manager: the
-        # __enter__/__exit__ pair costs two calls per burst, and nothing
-        # in the model interrupts a CPU burst, so the release is always
-        # reached.  The service delay is a bare-float sleep for the same
-        # reason: an uninterruptible delay needs no Timeout event.
-        if span is None:
-            req = self._request(priority)
-            yield req
-            yield service
-            self.busy_seconds += service
-            self._release(req)
-            return
-        env = self.env
-        queued_at = env.now
-        req = self._request(priority)
-        yield req
-        wait = env.now - queued_at
-        yield service
+        # One hold per burst: nothing in the model interrupts a CPU
+        # burst.  Fixed-length bursts elsewhere in the model hold the
+        # server directly, without this generator.
+        wait = yield self._hold(service, priority)
         self.busy_seconds += service
-        self._release(req)
-        span.trace.resource(span, self.obs_label, wait, service)
+        if span is not None:
+            span.trace.resource(span, self.obs_label, wait, service)
 
     def execute_dma(self, instructions: float):
         """Run a disk-FIFO byte transfer (high-priority CPU burst)."""

@@ -173,22 +173,15 @@ class Disk:
         transfer = self._page_transfer_seconds
         dma_service = self._dma_service
         cpu = self.cpu
-        cpu_request = cpu._request
-        cpu_release = cpu._release
+        cpu_hold = cpu._hold
         for _ in range(request.num_pages):
             yield transfer
             self.busy_seconds += transfer
-            # FIFO buffer full: interrupt the CPU for the DMA transfer.
-            # cpu.execute() written out inline -- a generator per page
-            # (and its resume hops) in the hottest loop of the model;
-            # nothing in the model interrupts a DMA burst, so the
-            # explicit release is always reached and the delays are
-            # bare-float sleeps.
-            req = cpu_request(DMA_PRIORITY)
-            yield req
-            yield dma_service
+            # FIFO buffer full: interrupt the CPU for the DMA transfer,
+            # holding it directly rather than through cpu.execute() --
+            # a generator per page in the hottest loop of the model.
+            yield cpu_hold(dma_service, DMA_PRIORITY)
             cpu.busy_seconds += dma_service
-            cpu_release(req)
 
         # Streaming advances the arm across cylinders.
         span = request.num_pages // self.params.disk_geometry.pages_per_cylinder

@@ -169,6 +169,9 @@ class GammaMachine:
         terminals = TerminalPool(self.env, self.scheduler, source,
                                  self.metrics, seed=self._seed)
         terminals.start(multiprogramming_level)
+        if self.telemetry.spans is not None:
+            # begin_window() drops warm-up spans: do not capture them.
+            self.telemetry.spans.warming = True
 
         self.env.run(until=self.metrics.on_completion_count(warmup_queries))
         self._reset_all_stats()

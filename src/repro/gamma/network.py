@@ -23,9 +23,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from ..des import Environment, Resource, Store, UtilizationMonitor
+from ..des import Environment, Resource, Store
 from ..obs.registry import NULL_REGISTRY
-from .cpu import Cpu
+from .cpu import NORMAL_PRIORITY, Cpu
 from .params import SimulationParameters
 
 __all__ = ["Network", "NetworkEndpoint"]
@@ -88,7 +88,6 @@ class Network:
             node_id=node_id, cpu=cpu,
             nic=Resource(self.env, capacity=1),
             mailbox=Store(self.env), obs_label=obs_label)
-        UtilizationMonitor.attach(endpoint.nic, f"nic{node_id}")
         self._endpoints[node_id] = endpoint
         return endpoint
 
@@ -122,17 +121,10 @@ class Network:
             # lose it).
             self.invariants.on_message_sent(src, -1)
             self.invariants.on_message_delivered(-1)
-        env = self.env
         yield from sender.cpu.execute(
             self.params.message_handling_instructions, span=span)
         occupancy = num_bytes / self._bandwidth
-        queued_at = env.now
-        nic = sender.nic
-        req = nic.request()
-        yield req
-        wait = env.now - queued_at
-        yield occupancy
-        nic.release(req)
+        wait = yield sender.nic.hold(occupancy)
         if span is not None:
             span.trace.resource(span, sender.obs_label, wait, occupancy)
         yield self._latency_seconds
@@ -141,11 +133,11 @@ class Network:
                 span=None):
         """Process generator: full delivery path of one message.
 
-        The two NIC holds and, for untraced messages, the CPU handling
-        bursts are written out inline rather than delegated to helper
-        generators: message delivery is the single hottest compound
-        operation in the model, and every ``yield from`` level is
-        traversed again on each of the delivery's event resumes.
+        The CPU handling bursts and NIC occupancies hold their servers
+        directly rather than through helper generators: message
+        delivery is the single hottest compound operation in the
+        model, and every ``yield from`` level is traversed again on
+        each of the delivery's event resumes.
         """
         endpoints = self._endpoints
         sender = endpoints[src]
@@ -160,54 +152,31 @@ class Network:
         if invariants is not None:
             invariants.on_message_sent(src, dst)
 
-        env = self.env
-        if span is None:
-            # cpu.execute() written out inline, release called directly
-            # (nothing in the model interrupts a delivery, so the
-            # explicit release is always reached); the delays are
-            # bare-float sleeps for the same reason.
-            cpu = sender.cpu
-            req = cpu._request(1)  # NORMAL_PRIORITY
-            yield req
-            yield self._handling_service
-            cpu.busy_seconds += self._handling_service
-            cpu._release(req)
-        else:
-            yield from sender.cpu.execute(
-                self.params.message_handling_instructions, span=span)
+        # Nothing in the model interrupts a delivery, so every server
+        # is claimed with a hold and the delays are bare-float sleeps.
+        handling = self._handling_service
+        cpu = sender.cpu
+        wait = yield cpu._hold(handling, NORMAL_PRIORITY)
+        cpu.busy_seconds += handling
+        if span is not None:
+            span.trace.resource(span, cpu.obs_label, wait, handling)
 
         if src != dst:
             occupancy = num_bytes / self._bandwidth
-            nic = sender.nic
-            queued_at = env.now
-            req = nic.request()
-            yield req
-            wait = env.now - queued_at
-            yield occupancy
-            nic.release(req)
+            wait = yield sender.nic.hold(occupancy)
             if span is not None:
                 span.trace.resource(span, sender.obs_label, wait, occupancy)
             # Fixed protocol latency: a pure delay, no resource held.
             yield self._latency_seconds
-            nic = receiver.nic
-            queued_at = env.now
-            req = nic.request()
-            yield req
-            wait = env.now - queued_at
-            yield occupancy
-            nic.release(req)
-            if span is None:
-                cpu = receiver.cpu
-                req = cpu._request(1)  # NORMAL_PRIORITY
-                yield req
-                yield self._handling_service
-                cpu.busy_seconds += self._handling_service
-                cpu._release(req)
-            else:
+            wait = yield receiver.nic.hold(occupancy)
+            if span is not None:
                 span.trace.resource(span, receiver.obs_label, wait,
                                     occupancy)
-                yield from receiver.cpu.execute(
-                    self.params.message_handling_instructions, span=span)
+            cpu = receiver.cpu
+            wait = yield cpu._hold(handling, NORMAL_PRIORITY)
+            cpu.busy_seconds += handling
+            if span is not None:
+                span.trace.resource(span, cpu.obs_label, wait, handling)
 
         if invariants is not None:
             invariants.on_message_delivered(dst)
@@ -230,7 +199,6 @@ class Network:
         sender = endpoints[src]
         sender_cpu = sender.cpu
         sender_nic = sender.nic
-        env = self.env
         counter = self._msg_counter
         invariants = self.invariants
         occupancy = num_bytes / self._bandwidth
@@ -246,46 +214,27 @@ class Network:
             if invariants is not None:
                 invariants.on_message_sent(src, dst)
 
-            if span is None:
-                req = sender_cpu._request(1)  # NORMAL_PRIORITY
-                yield req
-                yield handling
-                sender_cpu.busy_seconds += handling
-                sender_cpu._release(req)
-            else:
-                yield from sender_cpu.execute(
-                    self.params.message_handling_instructions, span=span)
+            wait = yield sender_cpu._hold(handling, NORMAL_PRIORITY)
+            sender_cpu.busy_seconds += handling
+            if span is not None:
+                span.trace.resource(span, sender_cpu.obs_label, wait,
+                                    handling)
 
             if src != dst:
-                queued_at = env.now
-                req = sender_nic.request()
-                yield req
-                wait = env.now - queued_at
-                yield occupancy
-                sender_nic.release(req)
+                wait = yield sender_nic.hold(occupancy)
                 if span is not None:
                     span.trace.resource(span, sender.obs_label, wait,
                                         occupancy)
                 yield latency
-                nic = receiver.nic
-                queued_at = env.now
-                req = nic.request()
-                yield req
-                wait = env.now - queued_at
-                yield occupancy
-                nic.release(req)
-                if span is None:
-                    cpu = receiver.cpu
-                    req = cpu._request(1)  # NORMAL_PRIORITY
-                    yield req
-                    yield handling
-                    cpu.busy_seconds += handling
-                    cpu._release(req)
-                else:
+                wait = yield receiver.nic.hold(occupancy)
+                if span is not None:
                     span.trace.resource(span, receiver.obs_label, wait,
                                         occupancy)
-                    yield from receiver.cpu.execute(
-                        self.params.message_handling_instructions, span=span)
+                cpu = receiver.cpu
+                wait = yield cpu._hold(handling, NORMAL_PRIORITY)
+                cpu.busy_seconds += handling
+                if span is not None:
+                    span.trace.resource(span, cpu.obs_label, wait, handling)
 
             if invariants is not None:
                 invariants.on_message_delivered(dst)

@@ -32,7 +32,7 @@ from ..des import Environment
 from ..obs.telemetry import NULL_TELEMETRY
 from ..storage.btree import IndexAccessPlan
 from .catalog import SystemCatalog
-from .cpu import Cpu
+from .cpu import NORMAL_PRIORITY, Cpu
 from .disk import Disk
 from .messages import (
     AuxInsertRequest,
@@ -123,12 +123,12 @@ class OperatorManager:
                        attribute: str = "", span=None):
         """Issue the plan's disk reads and buffer-manager CPU.
 
-        The untraced per-page CPU burst is cpu.execute() written out
-        inline (see :meth:`_buffered_page`): one generator and its
-        per-resume hops per random read otherwise.
+        The per-page CPU burst holds the CPU directly (see
+        :meth:`_buffered_page`).
         """
         aux = sequential_source == "aux"
         cpu = self.cpu
+        service = self._read_service
         for _ in range(plan.random_reads):
             if aux:
                 cylinder = self.catalog.aux_read_cylinder(
@@ -137,16 +137,10 @@ class OperatorManager:
                 cylinder = self.catalog.random_read_cylinder(
                     relation, self.node_id, self._rng)
             yield self.disk.submit(cylinder, 1, sequential=False, span=span)
-            if span is None:
-                service = self._read_service
-                req = cpu._request(1)  # NORMAL_PRIORITY
-                yield req
-                yield service
-                cpu.busy_seconds += service
-                cpu._release(req)
-            else:
-                yield from cpu.execute(self.params.read_page_instructions,
-                                       span=span)
+            wait = yield cpu._hold(service, NORMAL_PRIORITY)
+            cpu.busy_seconds += service
+            if span is not None:
+                span.trace.resource(span, cpu.obs_label, wait, service)
         if plan.sequential_reads:
             if aux:
                 cylinder = self.catalog.aux_sequential_run_cylinder(
@@ -164,35 +158,20 @@ class OperatorManager:
     def _buffered_page(self, key: str, cylinder: int, span=None):
         """Access one page through the buffer pool (hit: CPU only).
 
-        The untraced CPU bursts are cpu.execute() written out inline
-        (one generator and its per-resume hops per page otherwise);
-        nothing in the model interrupts a burst, so the explicit
-        release is always reached.
+        The CPU burst holds the CPU directly rather than through
+        cpu.execute(): one generator and its resume hops per page
+        otherwise.
         """
         cpu = self.cpu
         if self.buffer_pool.access(key):
-            if span is None:
-                service = self._hit_service
-                req = cpu._request(1)  # NORMAL_PRIORITY
-                yield req
-                yield service
-                cpu.busy_seconds += service
-                cpu._release(req)
-            else:
-                yield from cpu.execute(self.params.buffer_hit_instructions,
-                                       span=span)
+            service = self._hit_service
         else:
             yield self.disk.submit(cylinder, 1, sequential=False, span=span)
-            if span is None:
-                service = self._read_service
-                req = cpu._request(1)  # NORMAL_PRIORITY
-                yield req
-                yield service
-                cpu.busy_seconds += service
-                cpu._release(req)
-            else:
-                yield from cpu.execute(self.params.read_page_instructions,
-                                       span=span)
+            service = self._read_service
+        wait = yield cpu._hold(service, NORMAL_PRIORITY)
+        cpu.busy_seconds += service
+        if span is not None:
+            span.trace.resource(span, cpu.obs_label, wait, service)
 
     def _perform_reads_buffered(self, relation: str, attribute: str,
                                 plan: IndexAccessPlan, index,
@@ -249,18 +228,12 @@ class OperatorManager:
                  if self.telemetry.enabled else None)
         span = trace.start("select.site",
                            node=self.node_id) if trace else None
-        if span is None:
-            # Constant-length start-up burst, cpu.execute() inline.
-            cpu = self.cpu
-            service = self._startup_service
-            req = cpu._request(1)  # NORMAL_PRIORITY
-            yield req
-            yield service
-            cpu.busy_seconds += service
-            cpu._release(req)
-        else:
-            yield from self.cpu.execute(
-                self.params.operator_startup_instructions, span=span)
+        cpu = self.cpu
+        service = self._startup_service
+        wait = yield cpu._hold(service, NORMAL_PRIORITY)
+        cpu.busy_seconds += service
+        if span is not None:
+            span.trace.resource(span, cpu.obs_label, wait, service)
 
         plan, index = self.catalog.select_plan(
             request.relation, self.node_id, request.attribute,
@@ -368,18 +341,12 @@ class OperatorManager:
                  if self.telemetry.enabled else None)
         span = trace.start("probe.site",
                            node=self.node_id) if trace else None
-        if span is None:
-            # Constant-length start-up burst, cpu.execute() inline.
-            cpu = self.cpu
-            service = self._startup_service
-            req = cpu._request(1)  # NORMAL_PRIORITY
-            yield req
-            yield service
-            cpu.busy_seconds += service
-            cpu._release(req)
-        else:
-            yield from self.cpu.execute(
-                self.params.operator_startup_instructions, span=span)
+        cpu = self.cpu
+        service = self._startup_service
+        wait = yield cpu._hold(service, NORMAL_PRIORITY)
+        cpu.busy_seconds += service
+        if span is not None:
+            span.trace.resource(span, cpu.obs_label, wait, service)
 
         aux = self.catalog.aux_btree(request.relation, self.node_id,
                                      request.attribute)

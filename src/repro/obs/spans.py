@@ -18,12 +18,12 @@ eviction rule are described in ``docs/observability.md``.
 from __future__ import annotations
 
 from array import array
+from dataclasses import dataclass
 from typing import Any, Dict, Iterator, List, Optional
 
 from ..des.environment import Environment
-from ..des.trace import TraceEntry
 
-__all__ = ["Span", "QueryTrace", "SpanLog", "SPAN_KIND",
+__all__ = ["Span", "QueryTrace", "SpanLog", "SPAN_KIND", "TraceEntry",
            "UnknownQueryError"]
 
 #: The entry kind of every exported span.
@@ -38,6 +38,16 @@ _NOT_A_LEAF = float("nan")
 
 #: Pending values moved into the columns at once (4,096 rows).
 _SPILL_VALUES = len(_COLUMNS) * 4096
+
+
+@dataclass(frozen=True)
+class TraceEntry:
+    """One exported span: closing time, emit order, kind and fields."""
+
+    time: float
+    sequence: int
+    kind: str
+    details: Dict[str, Any]
 
 
 class UnknownQueryError(KeyError):
@@ -112,11 +122,14 @@ class QueryTrace:
         return span
 
     def finish(self, span: Span, **attrs: Any) -> None:
-        """Close *span* at the current simulation time and emit it."""
-        if attrs:
-            span.attrs.update(attrs)
+        """Close *span* at the current simulation time and emit it
+        (during warm-up: just close it)."""
         self._open.pop(span.span_id, None)
         log = self.log
+        if log.warming:
+            return
+        if attrs:
+            span.attrs.update(attrs)
         parent_id = span.parent_id
         log._add((self.query_id, span.span_id,
                   _NO_PARENT if parent_id is None else parent_id,
@@ -130,16 +143,22 @@ class QueryTrace:
 
         ``wait`` is the time queued before the grant, ``service`` the
         time holding the resource; the leaf's interval is
-        ``[now - wait - service, now]``.
+        ``[now - wait - service, now]``.  During warm-up only the span
+        id advances.
         """
-        log = self.log
-        now = log.env.now
         span_id = self._next_span_id
         self._next_span_id = span_id + 1
+        log = self.log
+        if log.warming:
+            return
+        now = log.env._now
+        ids = log._ids
+        name_id = ids.get(resource)
+        if name_id is None:
+            name_id = ids[resource] = len(ids)
         log._add((self.query_id, span_id,
                   parent.span_id if parent is not None else _NO_PARENT,
-                  log._ids.setdefault(resource, len(log._ids)),
-                  self._qtype_id, now - wait - service, now, wait,
+                  name_id, self._qtype_id, now - wait - service, now, wait,
                   service), attrs)
         by_resource = log.resource_totals.get(self.query_type)
         if by_resource is None:
@@ -173,6 +192,9 @@ class SpanLog:
         self.resource_totals: Dict[str, Dict[str, List[float]]] = {}
         #: Span name or query type -> its index in the name columns.
         self._ids: Dict[str, int] = {}
+        #: True during a run's warm-up (set by ``GammaMachine.run``):
+        #: spans that :meth:`reset` would drop are not captured at all.
+        self.warming = False
         self._clear_columns()
 
     # -- trace lifecycle ---------------------------------------------------
@@ -303,8 +325,9 @@ class SpanLog:
         """Drop retained spans and aggregates (start of measurement window).
 
         Traces still in flight keep their open spans; only finished
-        history is discarded.
+        history is discarded.  Ends the warm-up.
         """
+        self.warming = False
         self._clear_columns()
         self.resource_totals.clear()
         self.finished = 0

@@ -138,6 +138,45 @@ class TestQueryTrace:
         assert log.span_count() == 1
 
 
+def straddling_run(env, log, warming):
+    """Two queries close spans before reset(), one of them lives on."""
+    log.warming = warming
+    done, straddler = log.begin(1, "QA"), log.begin(2, "QB")
+    for trace in (done, straddler):
+        trace.resource(trace.root, "node.cpu", 0.0, 0.5)
+        trace.finish(trace.start("plan"), sites=3)
+    env.run(until=1.0)
+    log.end(1)
+    closed_in_warm_up = log.span_count()
+    log.reset()
+    env.run(until=2.0)
+    site = straddler.start("select.site", node=4)
+    straddler.resource(site, "node.disk", 0.25, 0.5, pages=2)
+    straddler.finish(site, tuples=7)
+    log.end(2)
+    return closed_in_warm_up
+
+
+class TestWarmUp:
+    def test_warm_up_leaves_are_not_kept(self, env, log):
+        assert straddling_run(env, log, warming=True) == 0
+        assert not log.warming  # reset() ends the warm-up
+
+    def test_straddling_query_exports_as_with_capture(self):
+        outcomes = []
+        for warming in (True, False):
+            env = Environment()
+            log = SpanLog(env)
+            straddling_run(env, log, warming)
+            outcomes.append((list(span_records(log)), log.span_count(),
+                             log.resource_totals))
+        assert outcomes[0] == outcomes[1]
+        records = outcomes[0][0]
+        # Ids 0-2 went to warm-up spans; the straddler keeps counting.
+        assert [r["span"] for r in records] == [4, 3, 0]
+        assert records[0]["parent"] == 3 and records[2]["name"] == "query"
+
+
 class TestFlushAndDetach:
     def test_flush_emits_children_before_root(self, env, log):
         trace = log.begin(1, "QA")
