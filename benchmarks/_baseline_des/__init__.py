@@ -33,7 +33,7 @@ from .events import (
     Timeout,
 )
 from .monitor import TallyMonitor, TimeWeightedMonitor, UtilizationMonitor
-from .resources import PriorityResource, Request, Resource, Store
+from .resources import PriorityResource, Request, Resource, Server, Store
 from .trace import TraceEntry, Tracer
 
 __all__ = [
@@ -49,6 +49,7 @@ __all__ = [
     "SimulationError",
     "Resource",
     "PriorityResource",
+    "Server",
     "Request",
     "Store",
     "TallyMonitor",

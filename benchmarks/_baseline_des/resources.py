@@ -21,8 +21,9 @@ from typing import Any, Deque, List, Optional, Tuple
 
 from .environment import Environment
 from .events import Event, Hold, SimulationError
+from .monitor import UtilizationMonitor
 
-__all__ = ["Request", "Resource", "PriorityResource", "Store"]
+__all__ = ["Request", "Resource", "PriorityResource", "Server", "Store"]
 
 
 class Request(Event):
@@ -175,6 +176,22 @@ class PriorityResource(Resource):
     @property
     def queue_length(self) -> int:
         return len(self._pqueue)
+
+
+class Server(PriorityResource):
+    """Shim for the live kernel's one-unit ``Server``: a capacity-1
+    :class:`PriorityResource` whose busy fraction comes from an attached
+    :class:`~.monitor.UtilizationMonitor`."""
+
+    def __init__(self, env: Environment):
+        super().__init__(env, capacity=1)
+        self._busy = UtilizationMonitor.attach(self)
+
+    def utilization(self) -> float:
+        return self._busy.utilization(self.env.now)
+
+    def reset_stats(self) -> None:
+        self._busy.reset(self.env.now)
 
 
 class Store:

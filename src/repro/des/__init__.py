@@ -2,59 +2,55 @@
 
 The paper built its simulator in the DeNet simulation language [Liv88];
 this package provides the equivalent substrate in pure Python:
-process-interaction simulation with generator coroutines, FCFS and
-priority resources, FIFO stores, and measurement instruments.
+process-interaction simulation with generator coroutines, one-unit
+priority servers, FIFO stores, and measurement instruments.
 
-Typical use::
+A process is a generator.  It may yield an event (a :class:`Timeout`,
+a :class:`Store` get, another :class:`Process`, an :class:`AllOf`), a
+bare number of seconds to sleep, or a :meth:`Server.hold` claim, which
+resumes it after the server has served it for the given time::
 
-    from repro.des import Environment
+    from repro.des import Environment, Server
 
     env = Environment()
+    server = Server(env)
 
     def customer(env, server):
-        with server.request() as req:
-            yield req
-            yield env.timeout(1.5)
+        yield 0.5                       # arrive
+        wait = yield server.hold(1.5)   # queue, then 1.5 s of service
 
-    from repro.des import Resource
-    server = Resource(env, capacity=1)
     env.process(customer(env, server))
     env.run()
+
+Agenda entries are ``(time, seq, event)`` or ``(time, seq, callback,
+argument)``; same-time entries run in the order they were scheduled.
 """
 
-from .environment import Environment, NORMAL, URGENT
+from .environment import Environment
 from .events import (
     AgendaEmptyError,
     AllOf,
-    AnyOf,
     Event,
     Hold,
-    Interrupted,
     Process,
     SimulationError,
     Timeout,
 )
-from .monitor import TallyMonitor, TimeWeightedMonitor, UtilizationMonitor
-from .resources import PriorityResource, Request, Resource, Store
+from .monitor import TallyMonitor, TimeWeightedMonitor
+from .resources import Request, Server, Store
 
 __all__ = [
     "Environment",
-    "NORMAL",
-    "URGENT",
     "Event",
     "Timeout",
     "Hold",
     "Process",
     "AllOf",
-    "AnyOf",
-    "Interrupted",
     "SimulationError",
     "AgendaEmptyError",
-    "Resource",
-    "PriorityResource",
+    "Server",
     "Request",
     "Store",
     "TallyMonitor",
     "TimeWeightedMonitor",
-    "UtilizationMonitor",
 ]

@@ -10,10 +10,14 @@ The public surface is:
 
 * :class:`Event` -- a one-shot occurrence with a value or an exception.
 * :class:`Timeout` -- an event that fires after a simulated delay.
+* :class:`Hold` -- a claim on a :class:`~repro.des.resources.Server`
+  held for a fixed time (``Server.hold``).
 * :class:`Process` -- a running generator; itself an event that fires when
   the generator terminates.
-* :class:`AllOf` / :class:`AnyOf` -- condition events over several events.
-* :class:`Interrupted` -- exception thrown into an interrupted process.
+* :class:`AllOf` -- fires once all of several events have fired.
+
+Besides events, a process may yield a bare number: ``yield 0.004``
+sleeps that long without allocating a :class:`Timeout`.
 
 Hot-path design
 ---------------
@@ -21,20 +25,20 @@ The kernel processes millions of events per figure, so the frequent paths
 avoid work the original, more uniform design paid per event:
 
 * Immediate deliveries (process bootstrap, callbacks registered on an
-  already-processed event, interrupts) go through the environment's
-  shared dispatch path (``Environment._dispatch``) as plain agenda
-  entries instead of allocating proxy :class:`Event` objects.  A
-  dispatch entry consumes one agenda sequence number, exactly like the
-  proxy event it replaces, so the event ordering -- and therefore every
-  simulated result -- is bit-identical to the proxy-based design.
+  already-processed event) go through the environment's shared dispatch
+  path (``Environment._dispatch``) as plain agenda entries instead of
+  allocating proxy :class:`Event` objects.  A dispatch entry consumes
+  one agenda sequence number, exactly like the proxy event it replaces,
+  so the event ordering -- and therefore every simulated result -- is
+  bit-identical to the proxy-based design.
 * :class:`Process` caches the bound ``_resume`` callback and the
   generator's ``send``/``throw`` methods once at creation; the original
   allocated a fresh bound method per yield.  The cached callback points
   back at its process, so it is dropped when the generator ends: a
   finished process is then freed by reference counting instead of
   waiting in a cycle for the cycle collector.
-* A :class:`Hold` (``Resource.hold``) runs a whole service burst --
-  grant, service, release -- with one resume of the holder.
+* A :class:`Hold` runs a whole service burst -- grant, service,
+  release -- with one resume of the holder.
 * :meth:`Event.succeed`, :meth:`Event.fail` and ``Timeout.__init__``
   push their agenda entry inline rather than via a method call.
 """
@@ -53,19 +57,9 @@ __all__ = [
     "Hold",
     "Process",
     "AllOf",
-    "AnyOf",
-    "Interrupted",
     "SimulationError",
     "AgendaEmptyError",
 ]
-
-#: Agenda priority for urgent events (processed before NORMAL at equal
-#: times).  Defined here -- not in :mod:`.environment` -- so the hot
-#: constructors below can push agenda entries without a circular import;
-#: the environment module re-exports both names.
-URGENT = 0
-#: Default agenda priority.
-NORMAL = 1
 
 
 class SimulationError(Exception):
@@ -76,24 +70,12 @@ class AgendaEmptyError(SimulationError):
     """The agenda ran dry while the run loop still awaited an event."""
 
 
-class Interrupted(SimulationError):
-    """Thrown into a process that has been interrupted.
-
-    The optional *cause* describes why the interrupt happened and is
-    available as ``exc.cause``.
-    """
-
-    def __init__(self, cause: Any = None):
-        super().__init__(cause)
-        self.cause = cause
-
-
 # Sentinel distinguishing "no value yet" from an explicit ``None`` value.
 _PENDING = object()
 
 
 class _Outcome:
-    """A minimal value/exception carrier for immediate dispatches.
+    """A successful no-value outcome for immediate dispatches.
 
     Quacks like a triggered :class:`Event` for the two fields
     :meth:`Process._resume` reads, without the agenda bookkeeping a real
@@ -102,23 +84,15 @@ class _Outcome:
 
     __slots__ = ("_value", "_exception")
 
-    def __init__(self, value: Any = None,
-                 exception: Optional[BaseException] = None):
-        self._value = value
-        self._exception = exception
+    def __init__(self):
+        self._value = None
+        self._exception = None
 
 
-#: Shared successful no-value outcome used to bootstrap every process.
-_BOOTSTRAP = _Outcome()
-
-#: Outcome delivered to a process waking from a bare-float sleep; the
-#: generator receives ``None``, exactly as from an untagged Timeout.
+#: Delivered to a process when it starts and when it wakes from a
+#: bare-number sleep; the generator receives ``None``, exactly as from
+#: an untagged Timeout.
 _WAKE = _Outcome()
-
-#: Marker stored in ``Process._waiting_on`` while the process sleeps on
-#: a bare delay or a hold.  There is no event to detach a callback
-#: from, so interrupting in this state is rejected.
-_SLEEPING = object()
 
 
 class Event:
@@ -184,7 +158,7 @@ class Event:
         self._value = value
         env = self.env
         env._seq += 1
-        heappush(env._agenda, (env._now, NORMAL, env._seq, self))
+        heappush(env._agenda, (env._now, env._seq, self))
         return self
 
     def fail(self, exception: BaseException) -> "Event":
@@ -197,7 +171,7 @@ class Event:
         self._value = None
         env = self.env
         env._seq += 1
-        heappush(env._agenda, (env._now, NORMAL, env._seq, self))
+        heappush(env._agenda, (env._now, env._seq, self))
         return self
 
     # -- internals -------------------------------------------------------
@@ -219,11 +193,8 @@ class Event:
         self.callbacks = None
         self._processed = True
         if callbacks:
-            if len(callbacks) == 1:
-                callbacks[0](self)
-            else:
-                for callback in callbacks:
-                    callback(self)
+            for callback in callbacks:
+                callback(self)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "processed" if self._processed else (
@@ -243,9 +214,7 @@ class Timeout(Event):
     def __init__(self, env: "Environment", delay: float, value: Any = None):
         if delay < 0:
             raise ValueError(f"negative delay {delay!r}")
-        # Inlined Event.__init__ plus the agenda push: a timeout is the
-        # single most common event, created once per simulated service
-        # burst.
+        # Inlined Event.__init__ plus the agenda push.
         self.env = env
         self.callbacks = []
         self._value = value
@@ -253,34 +222,34 @@ class Timeout(Event):
         self._processed = False
         self.delay = delay
         env._seq += 1
-        heappush(env._agenda, (env._now + delay, NORMAL, env._seq, self))
+        heappush(env._agenda, (env._now + delay, env._seq, self))
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Timeout delay={self.delay!r}>"
 
 
 class Hold(Event):
-    """A claim on a resource held for a fixed ``duration``
-    (``Resource.hold``).
+    """A claim on a server held for a fixed ``duration``
+    (``Server.hold``).
 
-    ``wait = yield res.hold(d)`` does what ``req = res.request(); yield
-    req; yield d; res.release(req)`` does -- same agenda entries, monitor
-    updates and wait value -- but the holder is resumed once, after the
-    release (:func:`_end_hold`).  A hold that finds a server free is
-    granted in place and reserves its grant entry's sequence number;
-    :meth:`Process._resume` pushes that entry, or elides it, when the
-    hold is yielded.
+    ``wait = yield server.hold(d)`` does what ``req = server.request();
+    yield req; yield d; server.release(req)`` does -- same agenda
+    entries, busy-time integral and wait value -- but the holder is
+    resumed once, after the release (:func:`_end_hold`).  A hold that
+    finds the server free is granted in place and reserves its grant
+    entry's sequence number; :meth:`Process._resume` pushes that entry,
+    or elides it, when the hold is yielded.
     """
 
-    __slots__ = ("resource", "priority", "enqueued_at", "duration",
-                 "_grant_seq", "_resume_cb")
+    __slots__ = ("resource", "enqueued_at", "duration", "_grant_seq",
+                 "_resume_cb")
 
 
 def _start_hold(hold: Hold) -> None:
     """Grant callback: hold the server for the hold's duration."""
     env = hold.env
     env._seq += 1
-    heappush(env._agenda, (env._now + hold.duration, NORMAL, env._seq,
+    heappush(env._agenda, (env._now + hold.duration, env._seq,
                            _end_hold, hold))
 
 
@@ -296,13 +265,13 @@ class Process(Event):
     """A simulation process wrapping a generator.
 
     The process is itself an event: it triggers with the generator's return
-    value when the generator finishes, or fails with the exception the
-    generator raised.  Other processes can therefore wait for a process to
-    finish simply by yielding it.
+    value when the generator finishes.  Other processes can therefore wait
+    for a process to finish simply by yielding it.  An exception escaping
+    the generator is a bug in the model: it propagates out of
+    :meth:`Environment.run <repro.des.environment.Environment.run>`.
     """
 
-    __slots__ = ("_generator", "_waiting_on", "_send", "_throw",
-                 "_resume_cb")
+    __slots__ = ("_generator", "_send", "_throw", "_resume_cb")
 
     def __init__(self, env: "Environment", generator: Generator):
         if not hasattr(generator, "send") or not hasattr(generator, "throw"):
@@ -315,64 +284,33 @@ class Process(Event):
         self._send = generator.send
         self._throw = generator.throw
         self._resume_cb = self._resume
-        self._waiting_on: Optional[Event] = None
         # Kick off the process via the dispatch path so that creation has
         # no side effects until the event loop runs.
-        env._dispatch(self._resume_cb, _BOOTSTRAP)
+        env._dispatch(self._resume_cb, _WAKE)
 
     @property
     def is_alive(self) -> bool:
         """True while the wrapped generator has not finished."""
         return not self.triggered
 
-    def interrupt(self, cause: Any = None) -> None:
-        """Throw :class:`Interrupted` into the process at its current yield.
-
-        Interrupting a finished process is an error.  The event the process
-        was waiting on remains pending; its eventual value is discarded for
-        this process.
-        """
-        if self.triggered:
-            raise SimulationError("cannot interrupt a finished process")
-        waited = self._waiting_on
-        if waited is _SLEEPING:
-            raise SimulationError(
-                "cannot interrupt a process sleeping on a bare delay or "
-                "a resource hold; wait on env.timeout() or a request "
-                "where interruption is needed")
-        if waited is not None and waited.callbacks is not None:
-            try:
-                waited.callbacks.remove(self._resume_cb)
-            except ValueError:
-                pass
-        self._waiting_on = None
-        # Deliver the interrupt through the agenda to keep the kernel
-        # non-reentrant.
-        self.env._dispatch(self._resume_cb, _Outcome(None, Interrupted(cause)))
-
     # -- generator stepping ----------------------------------------------
 
     def _resume(self, event: Event) -> None:
         """Advance the generator with the outcome of *event*."""
-        # _waiting_on is deliberately NOT cleared here: it is overwritten
-        # at the tail for a live process, and a finished process rejects
-        # interrupt() on the triggered check before ever reading it.
         env = self.env
-        env._active_process = self
         try:
             if event._exception is None:
                 target = self._send(event._value)
             else:
                 target = self._throw(event._exception)
         except StopIteration as stop:
-            env._active_process = None
             # The bound callback refers back to this process: dropping it
-            # on every exit path lets reference counting free the process.
+            # lets reference counting free the finished process.
             self._resume_cb = None
             self._value = stop.value
             env._seq += 1
             if self.callbacks:
-                heappush(env._agenda, (env._now, NORMAL, env._seq, self))
+                heappush(env._agenda, (env._now, env._seq, self))
             else:
                 # Nobody is waiting (fire-and-forget processes: message
                 # deliveries, per-query operator work, terminals).  The
@@ -386,38 +324,16 @@ class Process(Event):
                 self.callbacks = None
                 self._processed = True
             return
-        except Interrupted as exc:
-            # An unhandled interrupt terminates the process as failed.
-            env._active_process = None
-            self._resume_cb = None
-            self._exception = exc
-            self._value = None
-            env._seq += 1
-            if self.callbacks:
-                heappush(env._agenda, (env._now, NORMAL, env._seq, self))
-            else:
-                self.callbacks = None
-                self._processed = True
-            return
         except BaseException as exc:
-            env._active_process = None
+            # Fail fast: the exception leaves run(); the process keeps it
+            # as its outcome.
             self._resume_cb = None
             self._exception = exc
             self._value = None
-            env._seq += 1
-            if self.callbacks:
-                heappush(env._agenda, (env._now, NORMAL, env._seq, self))
-            else:
-                self.callbacks = None
-                self._processed = True
-            if not env._tolerate_process_failures:
-                raise
-            return
-        env._active_process = None
+            raise
 
         if type(target) is Hold:
             target._resume_cb = self._resume_cb
-            self._waiting_on = _SLEEPING
             seq = target._grant_seq
             if seq:
                 # Granted in place under a reserved sequence number.
@@ -432,26 +348,23 @@ class Process(Event):
                         and (not agenda or agenda[0][0] > now)
                         and not env._until._processed):
                     env._seq = seq = seq + 1
-                    heappush(agenda, (now + target.duration, NORMAL, seq,
+                    heappush(agenda, (now + target.duration, seq,
                                       _end_hold, target))
                 else:
-                    heappush(agenda, (now, NORMAL, seq, _start_hold, target))
+                    heappush(agenda, (now, seq, _start_hold, target))
             return
 
         # Bare sleep: yielding a plain float schedules the wake entry
         # directly -- no Timeout allocation, no callback registration,
-        # and no event processing when the entry surfaces, the three
-        # costs an uninterruptible service delay does not need.  One
-        # sequence number is consumed exactly as env.timeout() would
-        # consume it, so agenda ordering is bit-identical.
+        # and no event processing when the entry surfaces.  One sequence
+        # number is consumed exactly as env.timeout() would consume it,
+        # so agenda ordering is bit-identical.
         if type(target) is float:
             if target < 0.0:
                 raise SimulationError(f"negative sleep delay {target!r}")
             env._seq += 1
             heappush(env._agenda,
-                     (env._now + target, NORMAL, env._seq,
-                      self._resume_cb, _WAKE))
-            self._waiting_on = _SLEEPING
+                     (env._now + target, env._seq, self._resume_cb, _WAKE))
             return
 
         # Duck-typed instead of isinstance(): every yield pays for this
@@ -468,13 +381,11 @@ class Process(Event):
                         f"negative sleep delay {target!r}") from None
                 env._seq += 1
                 heappush(env._agenda,
-                         (env._now + target, NORMAL, env._seq,
-                          self._resume_cb, _WAKE))
-                self._waiting_on = _SLEEPING
+                         (env._now + target, env._seq, self._resume_cb,
+                          _WAKE))
                 return
             raise SimulationError(
                 f"process yielded {target!r}, which is not an Event") from None
-        self._waiting_on = target
         if callbacks is None:
             env._dispatch(self._resume_cb, target)
         else:
@@ -485,8 +396,12 @@ class Process(Event):
         return f"<Process {name} alive={self.is_alive}>"
 
 
-class _Condition(Event):
-    """Common machinery for :class:`AllOf` / :class:`AnyOf`."""
+class AllOf(Event):
+    """Fires when every constituent event has fired.
+
+    Succeeds with the list of child values (in construction order).  Fails
+    with the first child failure.
+    """
 
     __slots__ = ("_events", "_remaining")
 
@@ -495,30 +410,14 @@ class _Condition(Event):
         self._events = list(events)
         for event in self._events:
             if event.env is not env:
-                raise SimulationError("condition mixes events of different environments")
+                raise SimulationError(
+                    "condition mixes events of different environments")
         self._remaining = len(self._events)
         if self._remaining == 0:
-            self._value = self._collect()
-            env._enqueue(self)
+            self.succeed([])
         else:
             for event in self._events:
                 event._add_callback(self._on_child)
-
-    def _collect(self) -> List[Any]:
-        return [e._value for e in self._events if e.triggered and e.ok]
-
-    def _on_child(self, event: Event) -> None:
-        raise NotImplementedError
-
-
-class AllOf(_Condition):
-    """Fires when every constituent event has fired.
-
-    Succeeds with the list of child values (in construction order).  Fails
-    with the first child failure.
-    """
-
-    __slots__ = ()
 
     def _on_child(self, event: Event) -> None:
         if self.triggered:
@@ -529,21 +428,3 @@ class AllOf(_Condition):
         self._remaining -= 1
         if self._remaining == 0:
             self.succeed([e._value for e in self._events])
-
-
-class AnyOf(_Condition):
-    """Fires when the first constituent event fires.
-
-    Succeeds with that event's value; fails if the first event to fire
-    failed.
-    """
-
-    __slots__ = ()
-
-    def _on_child(self, event: Event) -> None:
-        if self.triggered:
-            return
-        if event.ok:
-            self.succeed(event._value)
-        else:
-            self.fail(event._exception)

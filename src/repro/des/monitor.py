@@ -2,8 +2,9 @@
 
 The paper's evaluation criterion is system throughput (queries completed
 per second) as a function of multiprogramming level; we additionally track
-response times and resource utilizations, which the text uses to explain
-the results (e.g. BERD's auxiliary-index processor becoming a hot spot).
+response times, which the text uses to explain the results.  Server
+utilization is integrated by :class:`~repro.des.resources.Server`
+itself.
 
 All instruments support a *warm-up reset* so that steady-state statistics
 exclude the initial transient, the standard practice for closed
@@ -12,23 +13,20 @@ queueing-network simulations.
 
 from __future__ import annotations
 
-import math
 from typing import List, Optional
 
-__all__ = ["TallyMonitor", "TimeWeightedMonitor", "UtilizationMonitor"]
+__all__ = ["TallyMonitor", "TimeWeightedMonitor"]
 
 
 class TallyMonitor:
     """Accumulates discrete observations (e.g. per-query response times)."""
 
-    __slots__ = ("name", "_count", "_sum", "_sum_sq", "_min", "_max",
-                 "_samples")
+    __slots__ = ("name", "_count", "_sum", "_min", "_max", "_samples")
 
     def __init__(self, name: str = ""):
         self.name = name
         self._count = 0
         self._sum = 0.0
-        self._sum_sq = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
         self._samples: Optional[List[float]] = None
@@ -42,7 +40,6 @@ class TallyMonitor:
         """Add one observation."""
         self._count += 1
         self._sum += value
-        self._sum_sq += value * value
         if self._min is None or value < self._min:
             self._min = value
         if self._max is None or value > self._max:
@@ -70,14 +67,6 @@ class TallyMonitor:
         return self._sum / self._count if self._count else 0.0
 
     @property
-    def stdev(self) -> float:
-        """Population standard deviation (0.0 for < 2 observations)."""
-        if self._count < 2:
-            return 0.0
-        var = self._sum_sq / self._count - self.mean ** 2
-        return math.sqrt(max(var, 0.0))
-
-    @property
     def minimum(self) -> float:
         return self._min if self._min is not None else 0.0
 
@@ -98,12 +87,7 @@ class TallyMonitor:
 
 
 class TimeWeightedMonitor:
-    """Time-average of a piecewise-constant quantity (queue length etc.).
-
-    The accumulator fields are updated inline by the ``Resource``
-    request/release hot paths (see :mod:`repro.des.resources`); keep
-    them in sync with any change here.
-    """
+    """Time-average of a piecewise-constant quantity (queue length etc.)."""
 
     __slots__ = ("name", "_level", "_last_change", "_area", "_start",
                  "_max")
@@ -156,22 +140,3 @@ class TimeWeightedMonitor:
             return self._level
         area = self._area + self._level * (now - self._last_change)
         return area / span
-
-
-class UtilizationMonitor(TimeWeightedMonitor):
-    """Tracks a resource's busy-server count; attach via ``attach``."""
-
-    __slots__ = ("_capacity",)
-
-    @classmethod
-    def attach(cls, resource, name: str = "") -> "UtilizationMonitor":
-        """Create a monitor, register it with *resource*, return it."""
-        mon = cls(name=name, initial=resource.count, now=resource.env.now)
-        resource.monitor = mon
-        mon._capacity = resource.capacity
-        return mon
-
-    def utilization(self, now: float) -> float:
-        """Fraction of capacity busy, time-averaged over [reset, now]."""
-        cap = getattr(self, "_capacity", 1)
-        return self.time_average(now) / cap if cap else 0.0

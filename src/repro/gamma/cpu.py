@@ -3,16 +3,16 @@
 "The CPU module enforces a FCFS non-preemptive scheduling paradigm on all
 requests, except for byte transfers to/from the disk's FIFO buffer."
 
-We model this with a single-server priority resource: normal work queues
-FCFS at priority :data:`NORMAL_PRIORITY`; DMA transfers from the disk's
-FIFO buffer enter at :data:`DMA_PRIORITY` and therefore run ahead of any
-*queued* normal work (the request in service is never preempted --
+We model this with one :class:`~repro.des.Server`: normal work queues
+FCFS in class :data:`NORMAL_PRIORITY`; DMA transfers from the disk's
+FIFO buffer queue in class :data:`DMA_PRIORITY` and therefore run ahead
+of any *queued* normal work (the burst in service is never preempted --
 non-preemptive, as in the paper).
 """
 
 from __future__ import annotations
 
-from ..des import Environment, PriorityResource, UtilizationMonitor
+from ..des import Environment, Server
 from .params import SimulationParameters
 
 __all__ = ["Cpu", "DMA_PRIORITY", "NORMAL_PRIORITY"]
@@ -32,8 +32,7 @@ class Cpu:
     """
 
     __slots__ = ("env", "params", "name", "obs_label", "_server",
-                 "monitor", "busy_seconds", "_instructions_per_second",
-                 "_hold")
+                 "busy_seconds", "_instructions_per_second", "_hold")
 
     def __init__(self, env: Environment, params: SimulationParameters,
                  name: str = "cpu", obs_label: str = "node.cpu"):
@@ -41,8 +40,7 @@ class Cpu:
         self.params = params
         self.name = name
         self.obs_label = obs_label
-        self._server = PriorityResource(env, capacity=1)
-        self.monitor = UtilizationMonitor.attach(self._server, name)
+        self._server = Server(env)
         self.busy_seconds = 0.0
         # Hot-path caches: the instruction rate and the bound hold,
         # resolved once instead of per burst.  Kept as the divisor (not
@@ -72,18 +70,14 @@ class Cpu:
         if span is not None:
             span.trace.resource(span, self.obs_label, wait, service)
 
-    def execute_dma(self, instructions: float):
-        """Run a disk-FIFO byte transfer (high-priority CPU burst)."""
-        yield from self.execute(instructions, priority=DMA_PRIORITY)
-
     @property
     def queue_length(self) -> int:
         return self._server.queue_length
 
     def utilization(self) -> float:
-        """Busy fraction since the monitor's last reset."""
-        return self.monitor.utilization(self.env.now)
+        """Busy fraction since the last :meth:`reset_stats`."""
+        return self._server.utilization()
 
     def reset_stats(self) -> None:
-        self.monitor.reset(self.env.now)
+        self._server.reset_stats()
         self.busy_seconds = 0.0

@@ -316,7 +316,7 @@ class GammaMachine:
         # Summed per node in machine order with Python-float addition:
         # the usage dict no longer carries per-node keys on big
         # machines, and a NumPy pairwise sum would round differently.
-        cpu_util = sum(n.cpu_utilization(now) for n in self.nodes) \
+        cpu_util = sum(n.cpu.utilization() for n in self.nodes) \
             / len(self.nodes)
         disk_util = sum(n.disk.busy_seconds for n in self.nodes) \
             / (len(self.nodes) * elapsed) if elapsed > 0 else 0.0

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict
 
-from ..des import Environment, Resource, Store
+from ..des import Environment, Server, Store
 from ..obs.registry import NULL_REGISTRY
 from .cpu import NORMAL_PRIORITY, Cpu
 from .params import SimulationParameters
@@ -37,7 +37,7 @@ class NetworkEndpoint:
 
     node_id: int
     cpu: Cpu
-    nic: Resource
+    nic: Server
     mailbox: Store
     #: Resource name traced queries book NIC wait/occupancy under.
     obs_label: str = "node.nic"
@@ -86,7 +86,7 @@ class Network:
             raise ValueError(f"node {node_id} already attached")
         endpoint = NetworkEndpoint(
             node_id=node_id, cpu=cpu,
-            nic=Resource(self.env, capacity=1),
+            nic=Server(self.env),
             mailbox=Store(self.env), obs_label=obs_label)
         self._endpoints[node_id] = endpoint
         return endpoint

@@ -58,8 +58,5 @@ class OperatorNode:
         self.cpu.reset_stats()
         self.disk.reset_stats()
 
-    def cpu_utilization(self, now: float) -> float:
-        return self.cpu.monitor.utilization(now)
-
     def disk_busy_seconds(self) -> float:
         return self.disk.busy_seconds

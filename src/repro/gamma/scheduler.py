@@ -271,7 +271,9 @@ class QueryScheduler:
                                                 self.env.now)
         if handle.trace is not None:
             self.telemetry.end_query(handle.query_id)
-        handle.completion.succeed(handle)
+        # No value: the handle holds its completion event, so the handle
+        # as the value would be a cycle only the cycle collector frees.
+        handle.completion.succeed()
 
     # -- fault handling ----------------------------------------------------
 

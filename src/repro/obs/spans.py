@@ -107,7 +107,8 @@ class QueryTrace:
         self._qtype_id = log._ids.setdefault(query_type, len(log._ids))
         self._next_span_id = 0
         self._open: Dict[int, Span] = {}
-        self.root = self.start("query", parent=None)
+        #: The root span; None once the trace is retired.
+        self.root: Optional[Span] = self.start("query", parent=None)
 
     def start(self, name: str, parent: Optional[Span] = ...,
               **attrs: Any) -> Span:
@@ -221,6 +222,9 @@ class SpanLog:
         if trace is None:
             raise UnknownQueryError(query_id, len(self.active))
         trace.finish(trace.root)
+        # The root refers back to its trace; dropping it lets reference
+        # counting free both.
+        trace.root = None
         self.finished += 1
 
     def flush(self) -> int:
@@ -240,6 +244,7 @@ class SpanLog:
             for span in sorted(trace._open.values(),
                                key=lambda s: -s.span_id):
                 trace.finish(span, truncated=True)
+            trace.root = None
             flushed += 1
         self.active.clear()
         self.truncated += flushed

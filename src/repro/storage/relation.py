@@ -4,8 +4,8 @@ The simulator never materializes byte-level tuples; it stores each integer
 attribute as a numpy column, which is what every consumer needs:
 
 * the declustering strategies partition on attribute *values*;
-* the operator model needs, per processor, *how many* tuples of a fragment
-  satisfy a predicate (a binary search over a sorted column);
+* the placements count, per processor, *how many* tuples of a fragment
+  satisfy a predicate (``Placement.qualifying_counts``);
 * the page model needs fragment cardinalities.
 
 A :class:`Fragment` is a view of a relation restricted to a subset of rows
@@ -73,13 +73,6 @@ class Relation:
     def tuple_size_bytes(self) -> int:
         return self.schema.tuple_size_bytes
 
-    # -- row selection -----------------------------------------------------
-
-    def rows_in_range(self, attribute: str, low, high) -> np.ndarray:
-        """Row indices with ``low <= value <= high`` on *attribute*."""
-        col = self.column(attribute)
-        return np.nonzero((col >= low) & (col <= high))[0]
-
     def fragment(self, rows: np.ndarray, site: Optional[int] = None) -> "Fragment":
         """A fragment consisting of the given row indices."""
         return Fragment(self, np.asarray(rows, dtype=np.int64), site=site)
@@ -89,20 +82,13 @@ class Relation:
 
 
 class Fragment:
-    """One processor's horizontal share of a relation.
-
-    Stores sorted copies of each materialized column (built lazily) so
-    that per-query qualifying-tuple counts are ``O(log n)`` binary
-    searches rather than scans -- with thousands of simulated queries per
-    run this is the difference between seconds and hours.
-    """
+    """One processor's horizontal share of a relation (row indices)."""
 
     def __init__(self, relation: Relation, rows: np.ndarray,
                  site: Optional[int] = None):
         self.relation = relation
         self.rows = rows
         self.site = site
-        self._sorted: Dict[str, np.ndarray] = {}
 
     @property
     def cardinality(self) -> int:
@@ -114,29 +100,6 @@ class Fragment:
     def values(self, attribute: str) -> np.ndarray:
         """The fragment's (unsorted) values of *attribute*."""
         return self.relation.column(attribute)[self.rows]
-
-    def _sorted_values(self, attribute: str) -> np.ndarray:
-        cached = self._sorted.get(attribute)
-        if cached is None:
-            cached = np.sort(self.values(attribute))
-            self._sorted[attribute] = cached
-        return cached
-
-    def count_in_range(self, attribute: str, low, high) -> int:
-        """Number of fragment tuples with ``low <= value <= high``."""
-        if len(self.rows) == 0:
-            return 0
-        ordered = self._sorted_values(attribute)
-        lo = np.searchsorted(ordered, low, side="left")
-        hi = np.searchsorted(ordered, high, side="right")
-        return int(hi - lo)
-
-    def min_max(self, attribute: str):
-        """(min, max) of *attribute* in this fragment, or None when empty."""
-        if len(self.rows) == 0:
-            return None
-        ordered = self._sorted_values(attribute)
-        return (ordered[0], ordered[-1])
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (f"<Fragment of {self.relation.name!r} site={self.site} "

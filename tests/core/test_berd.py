@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import BerdStrategy, RangePredicate
 from repro.storage import make_wisconsin
+from tests.scans import min_max
 
 P = 8
 
@@ -32,7 +33,7 @@ class TestConstruction:
     def test_primary_fragments_are_ranges(self, placement):
         last_hi = None
         for site in range(P):
-            mn, mx = placement.fragment(site).min_max("unique1")
+            mn, mx = min_max(placement.fragment(site), "unique1")
             if last_hi is not None:
                 assert mn > last_hi
             last_hi = mx

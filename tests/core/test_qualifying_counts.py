@@ -1,9 +1,8 @@
 """Differential test: vectorized per-site counts against fragment scans.
 
 ``Placement.qualifying_counts`` answers a predicate for every site at
-once from one sorted key array per attribute.  Each fragment's own
-``count_in_range`` (two binary searches over its sorted values) is the
-reference; the two must agree exactly on every strategy, including
+once from one sorted key array per attribute.  A scan of each
+fragment's values (``tests.scans.count_in_range``) is the reference; the two must agree exactly on every strategy, including
 placements with empty fragments and predicates outside the domain.
 """
 
@@ -20,6 +19,7 @@ from repro.core import (
 )
 from repro.dynamics import rescale_placement
 from repro.storage import Relation, make_wisconsin, wisconsin_schema
+from tests.scans import count_in_range
 
 CARDINALITY = 3_000
 
@@ -86,8 +86,8 @@ def test_counts_match_fragment_scans(relation, placements, name):
         column = placement.relation.column(attribute)
         for predicate in _predicates(rng, attribute, int(column.min()),
                                      int(column.max())):
-            expected = [fragment.count_in_range(attribute, predicate.low,
-                                                predicate.high)
+            expected = [count_in_range(fragment, attribute, predicate.low,
+                                       predicate.high)
                         for fragment in placement.fragments]
             counts = placement.qualifying_counts(predicate)
             assert counts.tolist() == expected, (name, predicate)
@@ -98,7 +98,10 @@ def test_counts_match_fragment_scans(relation, placements, name):
 
 
 def test_counts_leave_fragment_caches_alone(relation):
+    """Counting builds no per-fragment state (no sorted copies)."""
     placement = RangeStrategy("unique1").partition(relation, 8)
+    before = [sorted(vars(fragment)) for fragment in placement.fragments]
     counts = placement.qualifying_counts(RangePredicate("unique1", 10, 900))
     assert counts.sum() == 891
-    assert all(not fragment._sorted for fragment in placement.fragments)
+    assert [sorted(vars(fragment))
+            for fragment in placement.fragments] == before

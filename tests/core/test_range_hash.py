@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import HashStrategy, RangePredicate, RangeStrategy
 from repro.storage import make_wisconsin
+from tests.scans import count_in_range, min_max
 
 
 @pytest.fixture(scope="module")
@@ -29,7 +30,7 @@ class TestRangePartitioning:
     def test_fragments_are_contiguous_ranges(self, range_placement):
         highs = []
         for site in range(range_placement.num_sites):
-            mn, mx = range_placement.fragment(site).min_max("unique1")
+            mn, mx = min_max(range_placement.fragment(site), "unique1")
             if highs:
                 assert mn > highs[-1]
             highs.append(mx)
@@ -63,7 +64,7 @@ class TestRangePartitioning:
         strategy = RangeStrategy(
             "unique1", boundaries=np.array([4999]))
         placement = strategy.partition(relation, 2)
-        assert placement.fragment(0).min_max("unique1")[1] <= 4999
+        assert min_max(placement.fragment(0), "unique1")[1] <= 4999
 
     def test_wrong_boundary_count_rejected(self, relation):
         strategy = RangeStrategy("unique1", boundaries=np.array([1, 2]))
@@ -94,8 +95,8 @@ class TestHashPartitioning:
         assert len(decision.target_sites) == 1
         # ... and it is the right site.
         site = decision.target_sites[0]
-        assert placement.fragment(site).count_in_range(
-            "unique1", 1234, 1234) == 1
+        assert count_in_range(placement.fragment(site), "unique1",
+                              1234, 1234) == 1
 
     def test_range_predicate_broadcasts(self, placement):
         decision = placement.route(RangePredicate("unique1", 0, 10))

@@ -80,19 +80,6 @@ class TestRunLoops:
     def test_peek_empty_agenda(self, env):
         assert env.peek() == float("inf")
 
-    def test_step_pops_one_event(self, env):
-        order = []
-
-        def proc(env, tag):
-            yield env.timeout(tag)
-            order.append(tag)
-
-        env.process(proc(env, 1))
-        env.process(proc(env, 2))
-        while env.peek() != float("inf"):
-            env.step()
-        assert order == [1, 2]
-
 
 class TestDeterminism:
     def test_interleaving_is_reproducible(self):
@@ -112,30 +99,3 @@ class TestDeterminism:
             return trace
 
         assert run_once() == run_once()
-
-    def test_schedule_urgent_twice_raises_simulation_error(self, env):
-        # Aligned with Event.succeed: re-triggering is a SimulationError,
-        # not a bare RuntimeError.
-        ev = env.event()
-        env.schedule_urgent(ev)
-        with pytest.raises(SimulationError, match="already been triggered"):
-            env.schedule_urgent(ev)
-
-    def test_schedule_urgent_of_succeeded_event_raises(self, env):
-        ev = env.event().succeed(1)
-        with pytest.raises(SimulationError):
-            env.schedule_urgent(ev)
-
-    def test_urgent_beats_normal_at_same_time(self, env):
-        order = []
-        urgent = env.event()
-        env.schedule_urgent(urgent, delay=5)
-        urgent._add_callback(lambda e: order.append("urgent"))
-
-        def normal(env):
-            yield env.timeout(5)
-            order.append("normal")
-
-        env.process(normal(env))
-        env.run()
-        assert order == ["urgent", "normal"]

@@ -2,14 +2,7 @@
 
 import pytest
 
-from repro.des import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Event,
-    Interrupted,
-    SimulationError,
-)
+from repro.des import AllOf, Environment, SimulationError
 
 
 @pytest.fixture
@@ -196,22 +189,6 @@ class TestProcess:
         with pytest.raises(SimulationError, match="negative sleep"):
             env.run()
 
-    def test_interrupt_during_bare_sleep_rejected(self, env):
-        # There is no event to detach the waker from, so a sleeping
-        # process cannot be interrupted; the error says to use
-        # env.timeout() instead.
-        def sleeper(env):
-            yield 10.0
-
-        def interrupter(env, victim):
-            yield env.timeout(1.0)
-            victim.interrupt("wake up")
-
-        victim = env.process(sleeper(env))
-        env.process(interrupter(env, victim))
-        with pytest.raises(SimulationError, match="bare delay"):
-            env.run()
-
     def test_exception_in_process_propagates(self, env):
         def proc(env):
             yield env.timeout(1)
@@ -239,31 +216,6 @@ class TestProcess:
         env.run()
         assert w.value == "caught"
 
-    def test_interrupt_delivers_cause(self, env):
-        def victim(env):
-            try:
-                yield env.timeout(100)
-            except Interrupted as exc:
-                return ("interrupted", exc.cause, env.now)
-
-        def attacker(env, target):
-            yield env.timeout(4)
-            target.interrupt(cause="why")
-
-        v = env.process(victim(env))
-        env.process(attacker(env, v))
-        env.run()
-        assert v.value == ("interrupted", "why", 4)
-
-    def test_interrupt_finished_process_raises(self, env):
-        def quick(env):
-            yield env.timeout(0)
-
-        p = env.process(quick(env))
-        env.run()
-        with pytest.raises(SimulationError):
-            p.interrupt()
-
     def test_non_generator_rejected(self, env):
         with pytest.raises(TypeError):
             env.process(lambda: None)
@@ -281,17 +233,6 @@ class TestConditions:
         env.run()
         assert p.value == ["slow", "fast"]
         assert env.now == 3
-
-    def test_any_of_returns_first(self, env):
-        def proc(env):
-            t1 = env.timeout(3, value="slow")
-            t2 = env.timeout(1, value="fast")
-            value = yield env.any_of([t1, t2])
-            return (value, env.now)
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == ("fast", 1)
 
     def test_all_of_empty_fires_immediately(self, env):
         def proc(env):
@@ -325,8 +266,3 @@ class TestConditions:
         foreign = other.event()
         with pytest.raises(SimulationError):
             AllOf(env, [foreign])
-
-    def test_any_of_mixed_environments_rejected(self, env):
-        other = Environment()
-        with pytest.raises(SimulationError):
-            AnyOf(env, [env.event(), other.event()])

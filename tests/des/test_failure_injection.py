@@ -1,14 +1,13 @@
 """Failure-injection tests: the kernel under misbehaving processes.
 
-A production simulation library must behave predictably when model code
-fails: by default a crashing process surfaces immediately; with
-``tolerate_process_failures`` the failure is contained in the Process
-event so supervisors can observe and react.
+A crashing process is a bug in the model, so the kernel fails fast: the
+exception leaves ``Environment.run`` at once, and the process keeps it
+as its outcome.
 """
 
 import pytest
 
-from repro.des import Environment, Interrupted, Resource, SimulationError
+from repro.des import Environment
 
 
 class TestDefaultFailFast:
@@ -19,9 +18,12 @@ class TestDefaultFailFast:
             yield env.timeout(1)
             raise RuntimeError("injected")
 
-        env.process(bomb(env))
+        p = env.process(bomb(env))
         with pytest.raises(RuntimeError, match="injected"):
             env.run()
+        assert not p.ok
+        with pytest.raises(RuntimeError, match="injected"):
+            _ = p.value
 
     def test_other_processes_ran_until_crash(self):
         env = Environment()
@@ -41,113 +43,3 @@ class TestDefaultFailFast:
         with pytest.raises(ValueError):
             env.run()
         assert progress == [0, 1, 2]
-
-
-class TestToleratedFailures:
-    def test_failure_contained_in_process_event(self):
-        env = Environment(tolerate_process_failures=True)
-
-        def bomb(env):
-            yield env.timeout(1)
-            raise RuntimeError("contained")
-
-        p = env.process(bomb(env))
-        env.run()
-        assert p.triggered
-        assert not p.ok
-        with pytest.raises(RuntimeError, match="contained"):
-            _ = p.value
-
-    def test_supervisor_observes_and_restarts(self):
-        env = Environment(tolerate_process_failures=True)
-        attempts = []
-
-        def flaky(env, attempt):
-            yield env.timeout(1)
-            attempts.append(attempt)
-            if attempt < 3:
-                raise RuntimeError(f"attempt {attempt}")
-            return "ok"
-
-        def supervisor(env):
-            for attempt in range(1, 5):
-                worker = env.process(flaky(env, attempt))
-                try:
-                    result = yield worker
-                except RuntimeError:
-                    continue
-                return result
-
-        s = env.process(supervisor(env))
-        env.run()
-        assert s.value == "ok"
-        assert attempts == [1, 2, 3]
-
-    def test_sibling_processes_unaffected(self):
-        env = Environment(tolerate_process_failures=True)
-        done = []
-
-        def bomb(env):
-            yield env.timeout(1)
-            raise RuntimeError("die")
-
-        def survivor(env):
-            yield env.timeout(5)
-            done.append(env.now)
-
-        env.process(bomb(env))
-        env.process(survivor(env))
-        env.run()
-        assert done == [5.0]
-
-
-class TestResourceCleanupOnFailure:
-    def test_context_manager_releases_on_crash(self):
-        """A holder crashing inside `with` must release the resource."""
-        env = Environment(tolerate_process_failures=True)
-        res = Resource(env, capacity=1)
-        acquired = []
-
-        def crasher(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(1)
-                raise RuntimeError("mid-hold crash")
-
-        def next_user(env):
-            with res.request() as req:
-                yield req
-                acquired.append(env.now)
-
-        env.process(crasher(env))
-        env.process(next_user(env))
-        env.run()
-        assert acquired == [1.0]
-
-    def test_interrupt_during_hold_releases_via_context(self):
-        env = Environment()
-        res = Resource(env, capacity=1)
-        order = []
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                try:
-                    yield env.timeout(100)
-                except Interrupted:
-                    order.append(("interrupted", env.now))
-
-        def interrupter(env, victim):
-            yield env.timeout(2)
-            victim.interrupt()
-
-        def waiter(env):
-            with res.request() as req:
-                yield req
-                order.append(("acquired", env.now))
-
-        victim = env.process(holder(env))
-        env.process(interrupter(env, victim))
-        env.process(waiter(env))
-        env.run()
-        assert order == [("interrupted", 2.0), ("acquired", 2.0)]

@@ -1,4 +1,4 @@
-"""``Resource.hold`` against the request/sleep/release burst it replaces,
+"""``Server.hold`` against the request/sleep/release burst it replaces,
 and prompt freeing of finished processes."""
 
 import gc
@@ -6,37 +6,41 @@ import random
 
 import pytest
 
-from repro.des import (
-    Environment,
-    PriorityResource,
-    Resource,
-    SimulationError,
-    Store,
-    TimeWeightedMonitor,
-)
+from repro.des import Environment, Server, Store, TimeWeightedMonitor
 
 
-def burst(resource, duration, priority, use_hold):
-    """One service burst; returns the time queued before the grant."""
+def burst(server, duration, priority, use_hold, monitor=None):
+    """One service burst; returns the time queued before the grant.
+
+    On the request path, *monitor* (if given) is told of each change of
+    the server's busy count.
+    """
     if use_hold:
-        wait = yield resource.hold(duration, priority)
+        wait = yield server.hold(duration, priority)
     else:
-        req = resource.request(priority)
+        req = server.request(priority)
         wait = yield req
+        if monitor is not None:
+            monitor.observe(server.env.now, 1)
         yield duration
-        resource.release(req)
+        server.release(req)
+        if monitor is not None:
+            monitor.observe(server.env.now, server.count)
     return wait
 
 
 def tie_model(use_hold, seed=7):
-    """Integer durations on capacity-1 priority servers: nearly every
-    entry ties with another on time, so any change of sequence numbers
-    shows up as a reordered log."""
+    """Integer durations on priority servers: nearly every entry ties
+    with another on time, so any change of sequence numbers shows up as
+    a reordered log.  Returns the log, the event count and each
+    server's utilization (after a reset between the two runs); on the
+    request path, also checks each utilization against a
+    TimeWeightedMonitor fed the same busy-count changes."""
     rng = random.Random(seed)
     env = Environment()
-    servers = [PriorityResource(env) for _ in range(3)]
-    for index, server in enumerate(servers):
-        server.monitor = TimeWeightedMonitor(f"s{index}")
+    servers = [Server(env) for _ in range(3)]
+    monitors = {server: TimeWeightedMonitor(f"s{index}")
+                for index, server in enumerate(servers)}
     gate, stop = env.event(), env.event()
     log = []
 
@@ -44,7 +48,8 @@ def tie_model(use_hold, seed=7):
         for step in range(steps):
             server = servers[rng.randrange(len(servers))]
             wait = yield from burst(server, rng.randrange(4),
-                                    rng.randrange(2), use_hold)
+                                    rng.randrange(2), use_hold,
+                                    monitors[server])
             log.append((env.now, name, step, wait))
 
     def waiter(name, event):
@@ -64,20 +69,25 @@ def tie_model(use_hold, seed=7):
     env.process(waiter("stopper", stop))  # resumed by run()'s last entry
     env.process(opener())
     env.run(until=stop)
+    for server in servers:  # some are busy here
+        server.reset_stats()
+        monitors[server].reset(env.now)
     # Pushed between the runs, at the boundary instant: it ties with the
     # grant the stopper's first burst leaves on the agenda.
     env.process(worker("late", 4))
     env.run()
-    monitors = [(s.monitor.time_average(env.now), s.monitor.maximum)
-                for s in servers]
-    return log, env.events_scheduled, monitors
+    utilizations = [server.utilization() for server in servers]
+    if not use_hold:
+        assert utilizations == [monitors[server].time_average(env.now)
+                                for server in servers]
+    return log, env.events_scheduled, utilizations
 
 
 def boundary_model(use_hold):
     """Each place where eliding a grant entry would not be exact, built
     so that eliding it there reorders the log or the event count."""
     env = Environment()
-    server = Resource(env)
+    server = Server(env)
     gate, stop = env.event(), env.event()
     log = []
 
@@ -139,6 +149,8 @@ class TestHoldMatchesRequest:
 
     @pytest.mark.parametrize("seed", [7, 11, 23])
     def test_same_log_events_and_monitors(self, seed):
+        """Same log, event count and utilizations (the busy-time
+        integral)."""
         requested = tie_model(use_hold=False, seed=seed)
         held = tie_model(use_hold=True, seed=seed)
         assert held[0] == requested[0]
@@ -146,10 +158,15 @@ class TestHoldMatchesRequest:
         assert held[2] == requested[2]
 
     def test_step_loop_matches_run(self):
-        """step() turns elision off; the outcome must not change."""
+        """The invariant-checked loop steps one entry at a time with
+        elision off; the outcome must not change."""
+        class Clock:
+            def on_event(self, when, now):
+                assert when >= now
+
         def drive(stepwise):
             env = Environment()
-            server = Resource(env)
+            server = Server(env)
             log = []
 
             def user(name, duration):
@@ -159,10 +176,8 @@ class TestHoldMatchesRequest:
             for name, duration in (("a", 2), ("b", 0), ("c", 1)):
                 env.process(user(name, duration))
             if stepwise:
-                while env.peek() != float("inf"):
-                    env.step()
-            else:
-                env.run()
+                env.invariants = Clock()
+            env.run()
             return log, env.events_scheduled
 
         assert drive(True) == drive(False) == (
@@ -170,7 +185,7 @@ class TestHoldMatchesRequest:
 
     def test_hold_releases_before_resuming(self):
         env = Environment()
-        server = Resource(env)
+        server = Server(env)
         seen = []
 
         def user():
@@ -181,21 +196,11 @@ class TestHoldMatchesRequest:
         env.run()
         assert seen == [(1.5, 0)]
 
-    def test_interrupting_a_holder_raises(self):
-        env = Environment()
-        server = Resource(env)
-        holders = [env.process(burst(server, 5.0, 0, True))
-                   for _ in range(2)]
-        env.run(until=1.0)
-        for holder in holders:  # one in service, one queued
-            with pytest.raises(SimulationError, match="hold"):
-                holder.interrupt()
-
 
 def finite_model(use_hold):
     """Sixteen workers and a consumer, all of which finish."""
     env = Environment()
-    cpu, nic, box = PriorityResource(env), Resource(env), Store(env)
+    cpu, nic, box = Server(env), Server(env), Store(env)
 
     def worker(index):
         yield from burst(cpu, 1.0 + index % 3, index % 2, use_hold)

@@ -1,34 +1,18 @@
-"""Regression tests for DES kernel message-loss and accounting bugs.
+"""Regression tests for DES kernel accounting bugs.
 
 Each test here pins a behavior the original kernel got wrong (or never
 exercised):
 
-* an interrupted ``Store.get()`` left an orphaned getter that silently
-  swallowed the next item put into the store -- message loss;
-* ``Resource.release`` observed the monitor twice when a queued request
-  was granted in the same instant -- inflated sample counts;
-* interrupting a process waiting on a ``Resource`` grant, condition
-  events over already-processed children, and ``PriorityResource``
-  cancellation under mixed interleavings simply had no coverage.
-
-The store test fails on the pre-fix kernel (the snapshot kept under
-``benchmarks/_baseline_des``): its ``Store.put`` popped the orphaned
-get event and delivered the item to a process that was no longer
-listening.
+* ``Resource.release`` observed the utilization monitor twice when a
+  queued request was granted in the same instant -- inflated sample
+  counts; ``Server`` keeps one update of its busy-time integral per
+  release;
+* condition events over already-processed children had no coverage.
 """
 
 import pytest
 
-from repro.des import (
-    AllOf,
-    AnyOf,
-    Environment,
-    Interrupted,
-    PriorityResource,
-    Resource,
-    SimulationError,
-    Store,
-)
+from repro.des import AllOf, Environment, Server
 
 
 @pytest.fixture
@@ -36,104 +20,29 @@ def env():
     return Environment()
 
 
-class TestStoreInterruptRegression:
-    def test_interrupted_getter_does_not_swallow_item(self, env):
-        """The message-loss bug: an orphaned getter must not eat a put.
+def _recorded(name):
+    """A property over ``Server``'s *name* slot that logs every write."""
+    slot = Server.__dict__[name]
 
-        ``consumer`` blocks on an empty store and is interrupted before
-        anything arrives.  When an item is finally put, it must go to
-        the live second getter -- on the old kernel the orphaned get
-        event was still first in the getter queue, the item was bound
-        to it, and nobody ever received it.
-        """
-        store = Store(env)
-        received = []
+    def write(self, value):
+        self.writes.append((name, value))
+        slot.__set__(self, value)
 
-        def consumer(env):
-            try:
-                item = yield store.get()
-                received.append(("interrupted-consumer", item))
-            except Interrupted:
-                pass  # walks away without the item
-
-        def second_consumer(env):
-            yield env.timeout(2)
-            item = yield store.get()
-            received.append(("second-consumer", item))
-
-        def producer(env, victim):
-            yield env.timeout(1)
-            victim.interrupt("shutdown")
-            yield env.timeout(2)
-            store.put("the message")
-
-        victim = env.process(consumer(env))
-        env.process(second_consumer(env))
-        env.process(producer(env, victim))
-        env.run()
-        assert received == [("second-consumer", "the message")]
-
-    def test_interrupted_getter_then_fifo_order_kept(self, env):
-        """Orphan removal must not disturb FIFO service of live getters."""
-        store = Store(env)
-        received = []
-
-        def getter(env, tag, delay):
-            yield env.timeout(delay)
-            item = yield store.get()
-            received.append((tag, item))
-
-        def doomed(env):
-            try:
-                yield store.get()
-            except Interrupted:
-                pass
-
-        def driver(env, victim):
-            yield env.timeout(1)
-            victim.interrupt()
-            store.put("a")
-            store.put("b")
-
-        victim = env.process(doomed(env))
-        env.process(getter(env, "first", 0.5))
-        env.process(getter(env, "second", 0.75))
-        env.process(driver(env, victim))
-        env.run()
-        assert received == [("first", "a"), ("second", "b")]
+    return property(slot.__get__, write)
 
 
-class _SampleCounter:
-    """Quacks like ``TimeWeightedMonitor`` for the resource hot paths.
+class _RecordingServer(Server):
+    """Logs every write to the two fields of the busy-time integral."""
 
-    The inlined observe in ``Resource.request``/``release`` writes
-    ``_level`` exactly once per observation, and the out-of-line path
-    calls :meth:`observe`; both funnel into ``samples`` so the test can
-    count state transitions.
-    """
+    __slots__ = ("writes",)
 
-    def __init__(self):
-        self.samples = []
-        self._area = 0.0
-        self._last_change = 0.0
-        self._max = 0
-        self.__dict__["level"] = 0
+    _area = _recorded("_area")
+    _busy_since = _recorded("_busy_since")
 
-    @property
-    def _level(self):
-        return self.__dict__["level"]
-
-    @_level.setter
-    def _level(self, value):
-        self.__dict__["level"] = value
-        self.samples.append(value)
-
-    def observe(self, now, level):
-        self._area += self.__dict__["level"] * (now - self._last_change)
-        self._last_change = now
-        self._level = level
-        if level > self._max:
-            self._max = level
+    def __init__(self, env):
+        self.writes = []
+        super().__init__(env)
+        self.writes.clear()
 
 
 class TestReleaseMonitorSampleCount:
@@ -142,10 +51,10 @@ class TestReleaseMonitorSampleCount:
 
         The original release observed the transient dip (holder gone)
         and then the re-grant separately, inflating sample counts; the
-        fixed path records only the settled level.
+        server adds the finished burst to its integral once and restarts
+        it at the re-grant.
         """
-        res = Resource(env, capacity=1)
-        res.monitor = _SampleCounter()
+        res = _RecordingServer(env)
 
         def holder(env):
             req = res.request()
@@ -163,102 +72,21 @@ class TestReleaseMonitorSampleCount:
         env.process(holder(env))
         env.process(waiter(env))
         env.run()
-        # grant(1) at t=0, queued request adds nothing, release+regrant
-        # at t=5 settles at level 1 (one sample), final release at t=10
-        # settles at level 0 (one sample).
-        assert res.monitor.samples == [1, 1, 0]
+        # grant at t=0, queued request adds nothing, release+regrant at
+        # t=5 (one integral update), final release at t=10.
+        assert res.writes == [("_busy_since", 0.0), ("_area", 5.0),
+                              ("_busy_since", 5.0), ("_area", 10.0)]
+        assert res.utilization() == 1.0
 
     def test_uncontended_cycle_samples(self, env):
-        res = Resource(env, capacity=1)
-        res.monitor = _SampleCounter()
+        res = _RecordingServer(env)
 
         def once(env):
-            req = res.request()
-            yield req
-            yield env.timeout(3)
-            res.release(req)
+            yield res.hold(3)
 
         env.process(once(env))
         env.run()
-        assert res.monitor.samples == [1, 0]
-
-
-class TestInterruptDuringResourceWait:
-    def test_interrupted_waiter_cancels_and_queue_moves_on(self, env):
-        res = Resource(env, capacity=1)
-        log = []
-
-        def holder(env):
-            req = res.request()
-            yield req
-            log.append(("holder", env.now))
-            yield env.timeout(10)
-            res.release(req)
-
-        def impatient(env):
-            req = res.request()
-            try:
-                yield req
-                log.append(("impatient", env.now))
-            except Interrupted:
-                res.release(req)  # cancel the still-queued request
-                log.append(("gave-up", env.now))
-
-        def patient(env):
-            yield env.timeout(1)
-            req = res.request()
-            yield req
-            log.append(("patient", env.now))
-            res.release(req)
-
-        def driver(env, victim):
-            yield env.timeout(5)
-            victim.interrupt("bored")
-
-        env.process(holder(env))
-        victim = env.process(impatient(env))
-        env.process(patient(env))
-        env.process(driver(env, victim))
-        env.run()
-        assert log == [("holder", 0), ("gave-up", 5), ("patient", 10)]
-        assert res.queue_length == 0
-        assert res.count == 0
-
-    def test_interrupted_priority_waiter_leaves_clean_queue(self, env):
-        res = PriorityResource(env, capacity=1)
-        log = []
-
-        def holder(env):
-            req = res.request(priority=0)
-            yield req
-            yield env.timeout(10)
-            res.release(req)
-
-        def doomed(env):
-            req = res.request(priority=0)
-            try:
-                yield req
-            except Interrupted:
-                res.release(req)
-
-        def survivor(env):
-            yield env.timeout(1)
-            req = res.request(priority=1)
-            yield req
-            log.append(("survivor", env.now))
-            res.release(req)
-
-        def driver(env, victim):
-            yield env.timeout(2)
-            victim.interrupt()
-
-        env.process(holder(env))
-        victim = env.process(doomed(env))
-        env.process(survivor(env))
-        env.process(driver(env, victim))
-        env.run()
-        assert log == [("survivor", 10)]
-        assert res.queue_length == 0
+        assert res.writes == [("_busy_since", 0.0), ("_area", 3.0)]
 
 
 class TestConditionsOverProcessedChildren:
@@ -278,24 +106,6 @@ class TestConditionsOverProcessedChildren:
         env.run()
         assert collected == [(5, ["one", "two"])]
 
-    def test_anyof_over_processed_event_fires_immediately(self, env):
-        done = env.timeout(1, value="early")
-        late = env.timeout(50, value="late")
-        env.run(until=2)
-        assert done.processed and not late.processed
-
-        collected = []
-
-        def waiter(env):
-            value = yield AnyOf(env, [done, late])
-            collected.append((env.now, value))
-
-        env.process(waiter(env))
-        env.run(until=10)
-        # The condition resolves through the agenda at the current time,
-        # without waiting for the pending sibling.
-        assert collected == [(2, "early")]
-
     def test_allof_mixed_processed_and_pending(self, env):
         done = env.timeout(1, value="done")
         env.run(until=2)
@@ -310,80 +120,3 @@ class TestConditionsOverProcessedChildren:
         env.process(waiter(env))
         env.run()
         assert collected == [(5, ["done", "pending"])]
-
-
-class TestPriorityTombstoneInterleavings:
-    def _spawn(self, env, res, tag, priority, log, cancels):
-        def proc(env):
-            req = res.request(priority=priority)
-            if tag in cancels:
-                yield env.timeout(cancels[tag])
-                res.release(req)  # cancel while queued -> tombstone
-                return
-            yield req
-            log.append((tag, env.now))
-            yield env.timeout(10)
-            res.release(req)
-        return env.process(proc(env))
-
-    def test_cancel_head_of_queue(self, env):
-        """Tombstone at the heap root is skipped, next live entry wins."""
-        res = PriorityResource(env, capacity=1)
-        log = []
-
-        def holder(env):
-            req = res.request(priority=0)
-            yield req
-            log.append(("holder", env.now))
-            yield env.timeout(10)
-            res.release(req)
-
-        env.process(holder(env))
-        self._spawn(env, res, "head", 0, log, cancels={"head": 1})
-        self._spawn(env, res, "tail", 1, log, cancels={})
-        env.run()
-        assert log == [("holder", 0), ("tail", 10)]
-        assert res.queue_length == 0
-
-    def test_mixed_cancellations_respect_priority_then_fifo(self, env):
-        res = PriorityResource(env, capacity=1)
-        log = []
-
-        def holder(env):
-            req = res.request(priority=5)
-            yield req
-            log.append(("holder", env.now))
-            yield env.timeout(10)
-            res.release(req)
-
-        env.process(holder(env))
-        # Queued while the holder serves; cancellations at t=1 and t=2
-        # punch holes at both ends of the priority range.
-        self._spawn(env, res, "u0-cancelled", 0, log, {"u0-cancelled": 1})
-        self._spawn(env, res, "u1", 1, log, {})
-        self._spawn(env, res, "u1-cancelled", 1, log, {"u1-cancelled": 2})
-        self._spawn(env, res, "u1-later", 1, log, {})
-        self._spawn(env, res, "u9-cancelled", 9, log, {"u9-cancelled": 1})
-        self._spawn(env, res, "u9", 9, log, {})
-        env.run()
-        assert log == [("holder", 0), ("u1", 10), ("u1-later", 20),
-                       ("u9", 30)]
-        assert res.queue_length == 0
-
-    def test_queue_length_ignores_tombstones(self, env):
-        res = PriorityResource(env, capacity=1)
-        held = res.request(priority=0)
-        queued = [res.request(priority=p) for p in (3, 1, 2)]
-        env.run()
-        assert res.queue_length == 3
-        res.release(queued[0])  # cancel priority-3
-        assert res.queue_length == 2
-        res.release(queued[2])  # cancel priority-2
-        assert res.queue_length == 1
-        # Cancelling twice is an error, exactly like double release.
-        with pytest.raises(SimulationError):
-            res.release(queued[0])
-        res.release(held)
-        env.run()
-        assert res.count == 1  # priority-1 got the grant
-        assert res.queue_length == 0

@@ -1,9 +1,10 @@
 """Property-based tests (hypothesis) for the DES kernel invariants."""
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.des import Environment, Resource, Store, TimeWeightedMonitor
+from repro.des import Environment, Server, Store, TimeWeightedMonitor
 
 
 @given(delays=st.lists(st.floats(min_value=0, max_value=1e6,
@@ -40,57 +41,48 @@ def test_final_clock_equals_max_delay(delays):
     assert env.now == max(delays)
 
 
-@given(
-    service_times=st.lists(st.floats(min_value=0.01, max_value=10,
-                                     allow_nan=False, allow_infinity=False),
-                           min_size=1, max_size=20),
-    capacity=st.integers(min_value=1, max_value=4),
-)
+@given(service_times=st.lists(st.floats(min_value=0.01, max_value=10,
+                                       allow_nan=False, allow_infinity=False),
+                             min_size=1, max_size=20))
 @settings(max_examples=50)
-def test_resource_work_conservation(service_times, capacity):
-    """Total makespan >= total work / capacity, and every job completes."""
+def test_resource_work_conservation(service_times):
+    """Every job completes, and with everything arriving at t=0 the
+    makespan is exactly the sum of service times."""
     env = Environment()
-    res = Resource(env, capacity=capacity)
+    res = Server(env)
     completed = []
 
     def job(env, service):
-        with res.request() as req:
-            yield req
-            yield env.timeout(service)
+        yield res.hold(service)
         completed.append(service)
 
     for s in service_times:
         env.process(job(env, s))
     env.run()
     assert sorted(completed) == sorted(service_times)
-    assert env.now >= sum(service_times) / capacity - 1e-9
-    # With everything arriving at t=0 and FCFS, a single server's makespan
-    # is exactly the sum of service times.
-    if capacity == 1:
-        assert env.now == sum(service_times)
+    assert env.now == sum(service_times)
+    assert res.utilization() == pytest.approx(1.0)
 
 
-@given(
-    n_jobs=st.integers(min_value=1, max_value=25),
-    capacity=st.integers(min_value=1, max_value=3),
-)
+@given(n_jobs=st.integers(min_value=1, max_value=25))
 @settings(max_examples=50)
-def test_resource_never_exceeds_capacity(n_jobs, capacity):
+def test_resource_never_exceeds_capacity(n_jobs):
     env = Environment()
-    res = Resource(env, capacity=capacity)
-    max_seen = 0
+    res = Server(env)
+    in_service = []
 
     def job(env):
-        nonlocal max_seen
-        with res.request() as req:
-            yield req
-            max_seen = max(max_seen, res.count)
-            yield env.timeout(1)
+        req = res.request()
+        yield req
+        in_service.append(res.count)
+        yield env.timeout(1)
+        res.release(req)
 
     for _ in range(n_jobs):
         env.process(job(env))
     env.run()
-    assert max_seen <= capacity
+    assert in_service == [1] * n_jobs
+    assert env.now == n_jobs
 
 
 @given(items=st.lists(st.integers(), min_size=0, max_size=40))

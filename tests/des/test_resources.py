@@ -1,14 +1,8 @@
-"""Unit tests for Resource, PriorityResource and Store."""
+"""Unit tests for Server and Store."""
 
 import pytest
 
-from repro.des import (
-    Environment,
-    PriorityResource,
-    Resource,
-    SimulationError,
-    Store,
-)
+from repro.des import Environment, Server, SimulationError, Store
 
 
 @pytest.fixture
@@ -16,41 +10,29 @@ def env():
     return Environment()
 
 
-def hold(env, resource, duration, log, tag, priority=0):
-    """A process that holds *resource* for *duration* and logs (tag, start)."""
-    with resource.request(priority=priority) as req:
-        yield req
-        log.append((tag, env.now))
-        yield env.timeout(duration)
+def hold(env, server, duration, log, tag, priority=0):
+    """A process that holds *server* for *duration* and logs (tag, start)."""
+    yield server.hold(duration, priority)
+    log.append((tag, env.now - duration))
 
 
 class TestResource:
     def test_single_server_serializes(self, env):
-        res = Resource(env, capacity=1)
+        res = Server(env)
         log = []
         for tag in "abc":
             env.process(hold(env, res, 10, log, tag))
         env.run()
         assert log == [("a", 0), ("b", 10), ("c", 20)]
 
-    def test_capacity_two_parallel(self, env):
-        res = Resource(env, capacity=2)
-        log = []
-        for tag in "abc":
-            env.process(hold(env, res, 10, log, tag))
-        env.run()
-        assert log == [("a", 0), ("b", 0), ("c", 10)]
-
     def test_fcfs_order_preserved(self, env):
-        res = Resource(env, capacity=1)
+        res = Server(env)
         log = []
 
         def staggered(env, tag, arrive):
             yield env.timeout(arrive)
-            with res.request() as req:
-                yield req
-                log.append(tag)
-                yield env.timeout(5)
+            yield res.hold(5)
+            log.append(tag)
 
         for tag, arrive in [("first", 0), ("second", 1), ("third", 2)]:
             env.process(staggered(env, tag, arrive))
@@ -58,44 +40,30 @@ class TestResource:
         assert log == ["first", "second", "third"]
 
     def test_grant_value_is_wait_time(self, env):
-        res = Resource(env, capacity=1)
+        res = Server(env)
 
         def first(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(7)
+            yield res.hold(7)
 
         def second(env):
-            with res.request() as req:
-                wait = yield req
-                return wait
+            wait = yield res.hold(1)
+            return wait
+
+        def requester(env):
+            req = res.request()
+            wait = yield req
+            res.release(req)
+            return wait
 
         env.process(first(env))
         p = env.process(second(env))
+        r = env.process(requester(env))
         env.run()
         assert p.value == 7
-
-    def test_release_ungranted_cancels(self, env):
-        res = Resource(env, capacity=1)
-
-        def holder(env):
-            with res.request() as req:
-                yield req
-                yield env.timeout(10)
-
-        def quitter(env):
-            req = res.request()
-            yield env.timeout(1)
-            res.release(req)  # give up while still queued
-            return res.queue_length
-
-        env.process(holder(env))
-        q = env.process(quitter(env))
-        env.run()
-        assert q.value == 0
+        assert r.value == 8
 
     def test_double_release_raises(self, env):
-        res = Resource(env, capacity=1)
+        res = Server(env)
 
         def proc(env):
             req = res.request()
@@ -107,12 +75,8 @@ class TestResource:
         with pytest.raises(SimulationError):
             env.run()
 
-    def test_zero_capacity_rejected(self, env):
-        with pytest.raises(ValueError):
-            Resource(env, capacity=0)
-
     def test_count_and_queue_length(self, env):
-        res = Resource(env, capacity=1)
+        res = Server(env)
         log = []
         for tag in "ab":
             env.process(hold(env, res, 10, log, tag))
@@ -123,65 +87,60 @@ class TestResource:
 
 class TestPriorityResource:
     def test_lower_priority_number_served_first(self, env):
-        res = PriorityResource(env, capacity=1)
+        res = Server(env)
         log = []
 
         def submit(env):
             # Occupy the server, then queue low before high priority.
-            with res.request(priority=1) as req:
-                yield req
-                env.process(hold(env, res, 1, log, "low", priority=5))
-                env.process(hold(env, res, 1, log, "high", priority=0))
-                yield env.timeout(10)
+            req = res.request(priority=1)
+            yield req
+            env.process(hold(env, res, 1, log, "low", priority=5))
+            env.process(hold(env, res, 1, log, "high", priority=0))
+            yield env.timeout(10)
+            res.release(req)
 
         env.process(submit(env))
         env.run()
         assert [t for t, _ in log] == ["high", "low"]
 
     def test_fcfs_within_same_priority(self, env):
-        res = PriorityResource(env, capacity=1)
+        res = Server(env)
         log = []
 
         def submit(env):
-            with res.request(priority=0) as req:
-                yield req
-                for tag in ["x", "y", "z"]:
-                    env.process(hold(env, res, 1, log, tag, priority=3))
-                yield env.timeout(10)
+            req = res.request(priority=0)
+            yield req
+            for tag in ["x", "y", "z"]:
+                env.process(hold(env, res, 1, log, tag, priority=3))
+            yield env.timeout(10)
+            res.release(req)
 
         env.process(submit(env))
         env.run()
         assert [t for t, _ in log] == ["x", "y", "z"]
 
     def test_non_preemptive(self, env):
-        res = PriorityResource(env, capacity=1)
+        res = Server(env)
         log = []
 
         def low_then_high(env):
-            with res.request(priority=5) as req:
-                yield req
-                log.append(("low-start", env.now))
-                env.process(hold(env, res, 1, log, "high", priority=0))
-                yield env.timeout(10)
-                log.append(("low-end", env.now))
+            req = res.request(priority=5)
+            yield req
+            log.append(("low-start", env.now))
+            env.process(hold(env, res, 1, log, "high", priority=0))
+            yield env.timeout(10)
+            log.append(("low-end", env.now))
+            res.release(req)
 
         env.process(low_then_high(env))
         env.run()
         assert log == [("low-start", 0), ("low-end", 10), ("high", 10)]
 
-    def test_cancel_queued_priority_request(self, env):
-        res = PriorityResource(env, capacity=1)
-
-        def proc(env):
-            with res.request(priority=0) as held:
-                yield held
-                queued = res.request(priority=1)
-                res.release(queued)
-                return res.queue_length
-
-        p = env.process(proc(env))
-        env.run()
-        assert p.value == 0
+    def test_negative_priority_rejected(self, env):
+        res = Server(env)
+        res.hold(1)
+        with pytest.raises(ValueError, match="priority"):
+            res.hold(1, priority=-1)
 
 
 class TestStore:
@@ -248,9 +207,8 @@ class TestStore:
         env.run()
         assert results == [("first", "a"), ("second", "b")]
 
-    def test_len_and_peek(self, env):
+    def test_len(self, env):
         store = Store(env)
         store.put(1)
         store.put(2)
         assert len(store) == 2
-        assert store.peek_all() == [1, 2]

@@ -81,7 +81,8 @@ class TestCpu:
             order.append("normal")
 
         def dma(env):
-            yield from cpu.execute_dma(GAMMA_PARAMETERS.dma_instructions_per_page)
+            yield from cpu.execute(GAMMA_PARAMETERS.dma_instructions_per_page,
+                                   priority=DMA_PRIORITY)
             order.append("dma")
 
         env.process(setup(env))

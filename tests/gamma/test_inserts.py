@@ -11,6 +11,7 @@ from repro.core import (
 )
 from repro.gamma import GammaMachine
 from repro.storage import make_wisconsin
+from tests.scans import count_in_range, min_max
 
 INDEXES = {"unique1": False, "unique2": True}
 P = 4
@@ -25,7 +26,7 @@ class TestSiteForTuple:
     def test_range_uses_boundaries(self, relation):
         placement = RangeStrategy("unique1").partition(relation, P)
         # A value inside site 0's range must map to site 0.
-        hi = placement.fragment(0).min_max("unique1")[1]
+        hi = min_max(placement.fragment(0), "unique1")[1]
         assert placement.site_for_tuple({"unique1": int(hi)}) == 0
         assert placement.site_for_tuple({"unique1": 9_999}) == P - 1
 
@@ -38,8 +39,8 @@ class TestSiteForTuple:
         placement = HashStrategy("unique1").partition(relation, P)
         site = placement.site_for_tuple({"unique1": 123})
         # Must agree with where the existing tuple 123 lives.
-        assert placement.fragment(site).count_in_range(
-            "unique1", 123, 123) == 1
+        assert count_in_range(placement.fragment(site), "unique1",
+                              123, 123) == 1
 
     def test_berd_primary_and_aux(self, relation):
         placement = BerdStrategy("unique1", ["unique2"]).partition(
@@ -59,8 +60,8 @@ class TestSiteForTuple:
         u1 = int(relation.column("unique1")[17])
         u2 = int(relation.column("unique2")[17])
         site = placement.site_for_tuple({"unique1": u1, "unique2": u2})
-        assert placement.fragment(site).count_in_range("unique1", u1, u1) \
-            >= 1
+        assert count_in_range(placement.fragment(site), "unique1",
+                              u1, u1) >= 1
 
     def test_magic_requires_all_dimensions(self, relation):
         placement = MagicStrategy(

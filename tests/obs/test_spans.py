@@ -70,10 +70,11 @@ class TestQueryTrace:
         assert entry.details["sites"] == 2
 
     def test_end_closes_root_and_retires(self, env, log):
-        log.begin(7, "QB")
+        trace = log.begin(7, "QB")
         env.run(until=2.0)
         log.end(7)
         assert log.lookup(7) is None
+        assert trace.root is None
         assert log.finished == 1
         record = next(iter(span_records(log)))
         assert record["name"] == "query"
@@ -182,15 +183,17 @@ class TestFlushAndDetach:
         trace = log.begin(1, "QA")
         site = trace.start("select.site")
         deeper = trace.start("probe.site", parent=site)
+        root = trace.root
         env.run(until=2.0)
         log.flush()
         # Emit order must be child-before-parent so the exported
         # stream replays as a well-nested tree: deepest span first,
         # the root (span id 0) last.
         emitted = [r["span"] for r in span_records(log)]
-        assert emitted == [deeper.span_id, site.span_id,
-                           trace.root.span_id]
+        assert emitted == [deeper.span_id, site.span_id, root.span_id]
         assert emitted[-1] == 0
+        # The closed root no longer holds its trace in a cycle.
+        assert trace.root is None
 
     def test_detached_log_pickle_round_trip(self, env, log):
         trace = log.begin(1, "QA")

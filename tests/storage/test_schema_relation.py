@@ -5,6 +5,7 @@ import pytest
 
 from repro.storage import Attribute, Fragment, Relation, Schema, union_fragments
 from repro.storage.schema import INT, STRING
+from tests.scans import count_in_range, min_max, rows_in_range
 
 
 def small_schema():
@@ -82,7 +83,7 @@ class TestRelation:
 
     def test_rows_in_range_inclusive(self):
         r = small_relation(100)
-        rows = r.rows_in_range("a", 10, 19)
+        rows = rows_in_range(r, "a", 10, 19)
         assert sorted(r.column("a")[rows]) == list(range(10, 20))
 
     def test_tuple_size_from_schema(self):
@@ -100,20 +101,20 @@ class TestFragment:
     def test_count_in_range(self):
         r = small_relation(100)
         frag = r.fragment(np.arange(0, 100, 2))  # even a-values
-        assert frag.count_in_range("a", 0, 9) == 5
-        assert frag.count_in_range("a", 98, 200) == 1
-        assert frag.count_in_range("a", 1000, 2000) == 0
+        assert count_in_range(frag, "a", 0, 9) == 5
+        assert count_in_range(frag, "a", 98, 200) == 1
+        assert count_in_range(frag, "a", 1000, 2000) == 0
 
     def test_count_in_range_empty_fragment(self):
         r = small_relation(10)
         frag = r.fragment(np.array([], dtype=np.int64))
-        assert frag.count_in_range("a", 0, 100) == 0
-        assert frag.min_max("a") is None
+        assert count_in_range(frag, "a", 0, 100) == 0
+        assert min_max(frag, "a") is None
 
     def test_min_max(self):
         r = small_relation(100)
         frag = r.fragment(np.array([10, 50, 90]))
-        assert frag.min_max("a") == (10, 90)
+        assert min_max(frag, "a") == (10, 90)
 
     def test_union_fragments(self):
         r = small_relation(100)
@@ -135,4 +136,4 @@ class TestFragment:
         values = r.column("b")[rows]
         for lo, hi in [(0, 100), (250, 260), (999, 999), (500, 499)]:
             expected = int(((values >= lo) & (values <= hi)).sum())
-            assert frag.count_in_range("b", lo, hi) == expected
+            assert count_in_range(frag, "b", lo, hi) == expected

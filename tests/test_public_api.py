@@ -30,6 +30,17 @@ class TestPackageSurface:
             module = importlib.import_module(name)
             assert len(set(module.__all__)) == len(module.__all__), name
 
+    def test_des_kernel_surface(self):
+        """The kernel exports what the Gamma model uses and no more."""
+        import repro.des
+        assert set(repro.des.__all__) == {
+            "Environment", "Event", "Timeout", "Hold", "Process", "AllOf",
+            "SimulationError", "AgendaEmptyError", "Server", "Request",
+            "Store", "TallyMonitor", "TimeWeightedMonitor"}
+        env = repro.des.Environment()
+        for gone in ("step", "any_of", "schedule_urgent", "active_process"):
+            assert not hasattr(env, gone), gone
+
     def test_key_entry_points_importable(self):
         from repro import (
             BerdStrategy,

@@ -166,7 +166,7 @@ class TestBrokenMachineDetected:
                 # checker exists to catch.
                 state["dropped"] = True
                 del scheduler._queries[handle.query_id]
-                handle.completion.succeed(handle)
+                handle.completion.succeed()
                 return
             original(handle)
 
