@@ -32,7 +32,7 @@ from dataclasses import asdict
 
 from repro.experiments import FIGURES, run_experiment, run_scaleup
 from repro.experiments.plan import clear_memos
-from repro.obs import Telemetry, TelemetrySpec
+from repro.obs import TelemetrySpec
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 _BASELINE_PKG = "_repro_baseline"
@@ -265,8 +265,7 @@ def test_capture_overhead():
     relation and placement memos, so no timed arm pays their builds.
     """
     arms = {
-        "tracing": (dict(telemetry_factory=lambda strategy, mpl:
-                         Telemetry()), TRACE_CEILING),
+        "tracing": (dict(telemetry_spec=TelemetrySpec()), TRACE_CEILING),
         "latency": (dict(telemetry_spec=TelemetrySpec(
             trace=False, timeline_interval=0.0, latency=True)),
             LATENCY_CEILING),

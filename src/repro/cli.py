@@ -156,10 +156,6 @@ def _execution_options(plan: bool = True,
                            help="worker processes sharing the parent's "
                                 "prewarmed memos; results are bit-identical "
                                 "at any N")
-        group.add_argument("--start-method",
-                           choices=("fork", "spawn", "forkserver"),
-                           help="multiprocessing start method for --jobs "
-                                "(default: fork where available)")
         group.add_argument("--cache", metavar="DIR",
                            help="result cache: completed points load from "
                                 "DIR, new ones are stored, sweeps resume")
@@ -243,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
                           "(default: audit-reports); implies --audit")
     sub.add_argument("--audit-samples", type=_positive_int, default=400,
                      metavar="N", help="audit predicates per query type")
-    sub.add_argument("--no-phases", action="store_true",
-                     help="skip wall-clock phase attribution")
     sub.add_argument("--plot", action="store_true",
                      help="also render each figure as an ASCII plot")
 
@@ -365,7 +359,7 @@ def _execution(args):
     progress = (ProgressTracker(stream=sys.stderr, mode=args.progress)
                 if args.progress else None)
     try:
-        yield dict(jobs=args.jobs, start_method=args.start_method,
+        yield dict(jobs=args.jobs,
                    cache=ResultCache(args.cache) if args.cache else None,
                    check_invariants=args.check_invariants,
                    progress=progress)
@@ -421,8 +415,7 @@ def _cmd_figure(args) -> int:
                 FIGURES[name], cardinality=args.cardinality,
                 num_sites=args.num_sites, measured_queries=args.measured,
                 mpls=args.mpls, seed=args.seed,
-                telemetry_spec=telemetry_spec,
-                collect_phases=not args.no_phases, **execution)
+                telemetry_spec=telemetry_spec, **execution)
             blocks = []
             if args.audit or args.audit_out:
                 # Post-processing only: the audit reads the finished
@@ -679,7 +672,7 @@ def _cmd_trace(args) -> int:
         spans = (result.phases or {}).get("spans", [])
         if not spans:
             print(f"{path}: no wall-clock phase spans recorded "
-                  "(run saved with --no-phases?)", file=sys.stderr)
+                  "(saved without phase attribution)", file=sys.stderr)
             continue
         events += chrome_events_from_phase_spans(
             spans, process_name=f"wall clock: {result.config.figure}")

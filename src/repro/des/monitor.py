@@ -13,45 +13,28 @@ queueing-network simulations.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 __all__ = ["TallyMonitor", "TimeWeightedMonitor"]
 
 
 class TallyMonitor:
     """Accumulates discrete observations (e.g. per-query response times)."""
 
-    __slots__ = ("name", "_count", "_sum", "_min", "_max", "_samples")
+    __slots__ = ("name", "_count", "_sum")
 
     def __init__(self, name: str = ""):
         self.name = name
         self._count = 0
         self._sum = 0.0
-        self._min: Optional[float] = None
-        self._max: Optional[float] = None
-        self._samples: Optional[List[float]] = None
-
-    def keep_samples(self) -> "TallyMonitor":
-        """Retain raw observations (for percentiles); returns self."""
-        self._samples = []
-        return self
 
     def record(self, value: float) -> None:
         """Add one observation."""
         self._count += 1
         self._sum += value
-        if self._min is None or value < self._min:
-            self._min = value
-        if self._max is None or value > self._max:
-            self._max = value
-        if self._samples is not None:
-            self._samples.append(value)
 
     def reset(self) -> None:
         """Discard everything recorded so far (end of warm-up)."""
-        self.__init__(self.name)
-        # note: keep_samples state is intentionally dropped with the reset;
-        # callers re-enable it if they still need percentiles.
+        self._count = 0
+        self._sum = 0.0
 
     @property
     def count(self) -> int:
@@ -65,25 +48,6 @@ class TallyMonitor:
     def mean(self) -> float:
         """Mean of the observations (0.0 when empty)."""
         return self._sum / self._count if self._count else 0.0
-
-    @property
-    def minimum(self) -> float:
-        return self._min if self._min is not None else 0.0
-
-    @property
-    def maximum(self) -> float:
-        return self._max if self._max is not None else 0.0
-
-    def percentile(self, q: float) -> float:
-        """The *q*-th percentile (0..100); requires :meth:`keep_samples`."""
-        if self._samples is None:
-            raise RuntimeError("enable keep_samples() before asking for percentiles")
-        if not self._samples:
-            return 0.0
-        ordered = sorted(self._samples)
-        rank = max(0, min(len(ordered) - 1,
-                          int(round(q / 100.0 * (len(ordered) - 1)))))
-        return ordered[rank]
 
 
 class TimeWeightedMonitor:

@@ -6,8 +6,8 @@
 * :mod:`~repro.experiments.plan` -- the declarative job layer: frozen
   :class:`RunSpec` points, :class:`RunPlan` batches, and the one
   :func:`execute_run` every entry point funnels through;
-* :mod:`~repro.experiments.executor` -- serial and process-pool plan
-  executors (``--jobs N``, bit-identical to serial);
+* :mod:`~repro.experiments.executor` -- the plan executor, in-process
+  or on a warm process pool (``--jobs N``, bit-identical at any N);
 * :mod:`~repro.experiments.cache` -- the content-addressed result
   cache that makes interrupted sweeps resumable (``--cache DIR``);
 * :mod:`~repro.experiments.runner` -- strategy x mix x correlation x MPL
@@ -37,11 +37,9 @@ from .cache import ResultCache
 from .config import ATTR_A, ATTR_B, SCALEUP_SITES, ExperimentConfig, FIGURES
 from .executor import (
     ExecutionOutcome,
-    ParallelExecutor,
-    SerialExecutor,
+    PlanExecutor,
     WorkerCrash,
     default_start_method,
-    make_executor,
 )
 from .plan import (
     PAPER_INDEXES,
@@ -74,7 +72,6 @@ from .explain import ExplainResult, explain_figure
 from .scaleup import ScaleupPoint, ScaleupResult, run_scaleup
 from .runner import (
     FigureResult,
-    TelemetryFactory,
     check_expectation,
     run_experiment,
 )
@@ -95,12 +92,10 @@ __all__ = [
     "compile_point",
     "execute_run",
     "params_fingerprint",
-    "SerialExecutor",
-    "ParallelExecutor",
+    "PlanExecutor",
     "ExecutionOutcome",
     "WorkerCrash",
     "default_start_method",
-    "make_executor",
     "prewarm",
     "ResultCache",
     "FigureResult",
@@ -122,7 +117,6 @@ __all__ = [
     "AXES",
     "ExplainResult",
     "explain_figure",
-    "TelemetryFactory",
     "render_markdown",
     "render_html",
     "figure_document",

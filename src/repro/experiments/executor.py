@@ -1,78 +1,80 @@
-"""Pluggable execution backends for :class:`~repro.experiments.plan.RunPlan`.
+"""The plan executor: runs a :class:`~repro.experiments.plan.RunPlan`.
 
-Two executors share one contract: given a plan, return one
-:class:`ExecutionOutcome` per planned run, *in plan order*, consulting
-an optional :class:`~repro.experiments.cache.ResultCache` before
-simulating anything.
+One executor serves every parallelism level.  Given a plan it returns
+one :class:`ExecutionOutcome` per planned run, *in plan order*, and its
+parent loop does the same four things whatever ``jobs`` is:
 
-* :class:`SerialExecutor` runs everything in-process -- the historical
-  behavior, and the reference the parallel backend is tested
-  bit-identical against.
-* :class:`ParallelExecutor` fans the plan out over a **warm,
-  fork-shared worker pool** (``--jobs N`` on the CLI).  The parent
-  first *prewarms* every distinct relation/placement the pending specs
-  need (:func:`~repro.experiments.plan.prewarm`), then starts the pool
-  through an explicit ``multiprocessing.get_context("fork")`` so
-  workers inherit the populated memos copy-on-write -- a grid of runs
-  over one figure shares almost all of its expensive state, so only
-  the simulations themselves cost CPU.  On platforms without fork (or
-  with ``start_method="spawn"``), a per-worker initializer prewarms
-  once per *process* instead of once per task.  Dispatch is
+* reads each spec from the optional
+  :class:`~repro.experiments.cache.ResultCache` -- skipped when
+  telemetry or the invariant checker is on, since a cached result has
+  no spans and was not checked by this run;
+* writes every freshly simulated result through to the cache;
+* assembles the outcomes;
+* emits the progress events of :mod:`~repro.obs.progress`: a
+  ``spec-start``/``spec-finish`` pair per spec in plan order, cached
+  specs included.
+
+Only how the pending (uncached) runs are simulated depends on
+``jobs``:
+
+* ``jobs == 1``: in-process, in plan order, with no heartbeats.
+* ``jobs > 1``: on a **warm process pool** started with
+  :func:`default_start_method`.  Under fork the parent first
+  *prewarms* every distinct relation/placement the pending specs need
+  (:func:`~repro.experiments.plan.prewarm`), so workers inherit the
+  populated memos copy-on-write -- a grid of runs over one figure
+  shares almost all of its expensive state, so only the simulations
+  themselves cost CPU.  Where fork is unavailable a per-worker
+  initializer prewarms once per *process* instead.  Dispatch is
   **chunked**: specs are grouped by
   :meth:`~repro.experiments.plan.RunSpec.placement_key` so each chunk
   stays memo-local, and chunks are submitted longest-MPL-first so the
-  stragglers schedule early.  Determinism is structural: every seed
-  derives from the :class:`~repro.experiments.plan.RunSpec`, never
-  from worker state, and outcomes are reassembled in plan order.
+  stragglers schedule early.  Workers push phase-boundary heartbeats
+  over the progress tracker's queue.  Determinism is structural: every
+  seed derives from the :class:`~repro.experiments.plan.RunSpec`,
+  never from worker state.
 
-Telemetry under parallelism works by shipping a picklable
-:class:`~repro.obs.telemetry.TelemetrySpec` *to* the worker (which
-constructs the live object locally) and a detached, environment-free
-telemetry snapshot *back*.  Cache lookups are skipped whenever
-telemetry is requested -- a cached result has no spans to return -- but
-freshly traced results are still written through to the cache.
+Telemetry is requested with a picklable
+:class:`~repro.obs.telemetry.TelemetrySpec`: each run builds its own
+live telemetry from it and returns it as a detached, environment-free
+snapshot, in-process or not.
 
-Both backends also feed the wall-clock observability layer, strictly
-observationally (results are bit-identical with it on or off):
-
-* ``collect_phases`` records relation-build / placement-build /
-  simulate / cache-read / cache-write / telemetry-detach wall seconds
-  into the installed :mod:`~repro.obs.phases` accumulator (workers
-  collect locally and ship snapshots back per chunk);
-* ``progress`` receives plan lifecycle events
-  (:mod:`~repro.obs.progress`); parallel workers additionally push
-  phase-boundary heartbeats over a multiprocessing queue.  Terminal
-  ``spec-finish`` events stay in plan order: completed chunks are
-  buffered and released as the plan-order frontier advances.
+Every simulated run records its wall-clock phases (relation-build,
+placement-build, simulate, telemetry-detach) into its own
+:mod:`~repro.obs.phases` accumulator; the snapshot rides on the outcome
+and is merged into the installed figure-level accumulator, next to the
+parent's own cache-read/cache-write phases.  All of this is strictly
+observational: results are bit-identical with it on or off.
 """
 
 from __future__ import annotations
 
+import contextlib
 import multiprocessing
 import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-from ..gamma import RunResult, SimulationParameters
+from ..gamma import RunResult
 from ..obs import Telemetry, TelemetrySpec, phases
 from ..obs.progress import NULL_PROGRESS
 from .cache import ResultCache
 from .plan import PlannedRun, RunPlan, RunSpec, execute_run, prewarm
 
-__all__ = ["ExecutionOutcome", "SerialExecutor", "ParallelExecutor",
-           "make_executor", "default_start_method", "TelemetryProvider",
+__all__ = ["ExecutionOutcome", "PlanExecutor", "default_start_method",
            "WorkerCrash"]
-
-#: Serial-only hook: builds (or declines to build) telemetry for one spec.
-TelemetryProvider = Callable[[RunSpec], Optional[Telemetry]]
 
 #: Target number of chunks per worker: enough slack that an unlucky
 #: chunk-to-worker assignment cannot idle half the pool, few enough
 #: that per-task dispatch overhead stays negligible.
 _CHUNKS_PER_WORKER = 2
+
+#: One simulated run as the parent receives it: (result, wall seconds,
+#: CPU seconds, detached telemetry or None, phase snapshot).
+_Entry = Tuple[RunResult, float, float, Optional[Telemetry], Dict]
 
 
 class WorkerCrash(RuntimeError):
@@ -108,16 +110,15 @@ class ExecutionOutcome:
     cpu_seconds: float = 0.0
     #: True when the result was loaded from the cache, not simulated.
     cached: bool = False
-    #: Detached telemetry snapshot, when tracing was requested.
+    #: Detached telemetry snapshot, when telemetry was requested.
     telemetry: Optional[Telemetry] = None
-    #: Wall-clock phase snapshot from the process that ran this spec
-    #: (parallel workers only; serial runs record into the installed
-    #: figure-level accumulator directly).
+    #: Wall-clock phase snapshot of this run's simulation, from the
+    #: process that ran it (None if cached).
     phases: Optional[Dict] = None
 
 
 def default_start_method() -> str:
-    """The multiprocessing start method the parallel executor prefers.
+    """The multiprocessing start method the process pool uses.
 
     ``fork`` wherever the platform offers it: forked workers inherit
     the parent's prewarmed relation/placement memos copy-on-write, so
@@ -139,6 +140,23 @@ def _run_one(planned: PlannedRun, telemetry: Optional[Telemetry],
                          check_invariants=check_invariants)
     return (result, time.perf_counter() - started,
             time.process_time() - cpu_started)
+
+
+def _simulate(planned: PlannedRun, telemetry_spec: Optional[TelemetrySpec],
+              check_invariants: bool, listener=None) -> _Entry:
+    """Simulate one planned run under its own phase accumulator."""
+    acc = phases.push(phases.PhaseAccumulator(listener=listener))
+    try:
+        telemetry = (telemetry_spec.build()
+                     if telemetry_spec is not None else None)
+        result, wall, cpu = _run_one(planned, telemetry,
+                                     check_invariants=check_invariants)
+        if telemetry is not None:
+            with phases.phase("telemetry-detach"):
+                telemetry.detach()
+    finally:
+        phases.pop(merge_into_parent=False)
+    return result, wall, cpu, telemetry, acc.snapshot()
 
 
 def _pool_initializer(representatives: Sequence[PlannedRun]) -> None:
@@ -167,98 +185,74 @@ def _crash(spec: RunSpec, exc: BaseException) -> WorkerCrash:
         f"--- worker traceback ---\n{traceback.format_exc()}")
 
 
+def _heartbeat(progress_queue, payload: Dict) -> None:
+    try:
+        progress_queue.put(payload)
+    except Exception:
+        pass  # progress must never kill a simulation
+
+
 def _worker_execute_chunk(chunk: Sequence[PlannedRun],
                           telemetry_spec: Optional[TelemetrySpec],
                           check_invariants: bool = False,
-                          collect_phases: bool = False,
-                          progress_queue=None):
+                          progress_queue=None) -> List[_Entry]:
     """Top-level worker entry point (must be picklable by name).
 
-    Executes one memo-local chunk of planned runs and returns
-    ``(per_spec, chunk_snapshot)`` where ``per_spec`` is a list of
-    ``(result, wall, cpu, telemetry, spec_snapshot)`` in chunk order.
-    The chunk snapshot aggregates every spec's phases and is what the
-    parent merges into the figure accumulator (merging the per-spec
-    snapshots too would double-count).
+    Simulates one memo-local chunk of planned runs and returns one
+    entry per run, in chunk order.
     """
     # Fork-start workers inherit the parent's installed accumulator
     # stack as junk state; drop it before collecting anything.
     phases.reset()
-    observing = collect_phases or progress_queue is not None
-    chunk_acc = phases.PhaseAccumulator() if observing else None
     pid = os.getpid()
-    per_spec = []
+    entries = []
     for planned in chunk:
         spec = planned.spec
         try:
+            fields = {"spec": spec.digest()[:12], "strategy": spec.strategy,
+                      "mpl": spec.multiprogramming_level, "pid": pid}
             listener = None
             if progress_queue is not None:
-                digest = spec.digest()[:12]
-
                 def listener(name: str, action: str, elapsed: float,
-                             _digest=digest, _spec=spec) -> None:
-                    if action != "start":
-                        return
-                    try:
-                        progress_queue.put({
-                            "spec": _digest, "strategy": _spec.strategy,
-                            "mpl": _spec.multiprogramming_level,
-                            "phase": name, "pid": pid,
+                             fields=fields) -> None:
+                    if action == "start":
+                        _heartbeat(progress_queue, {
+                            **fields, "phase": name,
                             "wall_seconds": round(elapsed, 6)})
-                    except Exception:
-                        pass  # progress must never kill a simulation
 
-            acc = None
-            if observing:
-                acc = phases.push(phases.PhaseAccumulator(listener=listener))
-            try:
-                telemetry = (telemetry_spec.build()
-                             if telemetry_spec is not None else None)
-                result, wall, cpu = _run_one(
-                    planned, telemetry, check_invariants=check_invariants)
-                if telemetry is not None:
-                    with phases.phase("telemetry-detach"):
-                        telemetry.detach()
-            finally:
-                if acc is not None:
-                    phases.pop(merge_into_parent=False)
-            snapshot = None
-            if acc is not None:
-                snapshot = acc.snapshot()
-                chunk_acc.merge(snapshot)
+            entry = _simulate(planned, telemetry_spec, check_invariants,
+                              listener)
             if progress_queue is not None:
-                counters = snapshot["counters"] if snapshot else {}
-                try:
-                    progress_queue.put({
-                        "spec": spec.digest()[:12],
-                        "strategy": spec.strategy,
-                        "mpl": spec.multiprogramming_level,
-                        "phase": "worker-done", "pid": pid,
-                        "wall_seconds": round(wall, 6),
-                        "events": int(counters.get("events", 0)),
-                        "sim_clock": round(
-                            counters.get("sim_seconds", 0.0), 6)})
-                except Exception:
-                    pass
-            per_spec.append((result, wall, cpu, telemetry, snapshot))
-        except WorkerCrash:
-            raise
+                counters = entry[4]["counters"]
+                _heartbeat(progress_queue, {
+                    **fields, "phase": "worker-done",
+                    "wall_seconds": round(entry[1], 6),
+                    "events": int(counters.get("events", 0)),
+                    "sim_clock": round(counters.get("sim_seconds", 0.0), 6)})
+            entries.append(entry)
         except BaseException as exc:
             raise _crash(spec, exc) from None
-    chunk_snapshot = chunk_acc.snapshot() if chunk_acc is not None else None
-    return per_spec, chunk_snapshot
+    return entries
 
 
-class SerialExecutor:
-    """Runs a plan in-process, one simulation at a time."""
+class PlanExecutor:
+    """Runs a plan in-process (``jobs == 1``) or on a warm pool.
 
-    name = "serial"
-    jobs = 1
+    Results are bit-identical at any ``jobs`` and under any start
+    method; only :attr:`name` ("serial" or "process-pool", echoed into
+    progress events, cache entries and saved artifacts) and the wall
+    clock differ.
+    """
+
+    def __init__(self, jobs: int = 1):
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
+        self.jobs = jobs
+        self.name = "serial" if jobs == 1 else "process-pool"
 
     def execute(self, plan: RunPlan,
                 cache: Optional[ResultCache] = None,
                 telemetry_spec: Optional[TelemetrySpec] = None,
-                telemetry_provider: Optional[TelemetryProvider] = None,
                 check_invariants: bool = False,
                 progress=None,
                 ) -> List[ExecutionOutcome]:
@@ -266,45 +260,105 @@ class SerialExecutor:
         acc = phases.current()
         progress.plan_started(len(plan), executor=self.name, jobs=self.jobs,
                               figure=_plan_figure(plan))
-        outcomes: List[ExecutionOutcome] = []
+        read_cache = (cache is not None and telemetry_spec is None
+                      and not check_invariants)
+        outcomes: List[Optional[ExecutionOutcome]] = []
+        pending: List[Tuple[int, PlannedRun]] = []
         for index, planned in enumerate(plan):
-            progress.spec_started(planned.spec, index)
-            telemetry = None
-            if telemetry_provider is not None:
-                telemetry = telemetry_provider(planned.spec)
-            elif telemetry_spec is not None:
-                telemetry = telemetry_spec.build()
-            # A cache hit was not validated by this run, so invariant
-            # checking (like tracing) bypasses cache reads and always
-            # simulates; fresh results still write through below.
-            tracing = telemetry is not None or check_invariants
-            if cache is not None and not tracing:
+            hit = None
+            if read_cache:
                 with phases.phase("cache-read"):
                     hit = cache.get(planned.spec)
-                if hit is not None:
-                    outcomes.append(ExecutionOutcome(
-                        spec=planned.spec, result=hit, cached=True))
-                    progress.spec_finished(planned.spec, index, cached=True)
-                    continue
-            events_before = acc.counters.get("events", 0.0) if acc else 0.0
-            sim_before = acc.counters.get("sim_seconds", 0.0) if acc else 0.0
-            result, wall, cpu = _run_one(planned, telemetry,
-                                         check_invariants=check_invariants)
-            if cache is not None:
-                with phases.phase("cache-write"):
-                    cache.put(planned.spec, result, executor=self.name,
-                              jobs=self.jobs)
-            outcomes.append(ExecutionOutcome(
-                spec=planned.spec, result=result, wall_seconds=wall,
-                cpu_seconds=cpu, telemetry=telemetry))
-            progress.spec_finished(
-                planned.spec, index, cached=False, wall_seconds=wall,
-                events=(acc.counters.get("events", 0.0) - events_before
-                        if acc else None),
-                sim_seconds=(acc.counters.get("sim_seconds", 0.0) - sim_before
-                             if acc else None))
+            if hit is None:
+                pending.append((index, planned))
+                outcomes.append(None)
+            else:
+                outcomes.append(ExecutionOutcome(
+                    spec=planned.spec, result=hit, cached=True))
+
+        if self.jobs == 1:
+            simulated = ((index, _simulate(planned, telemetry_spec,
+                                           check_invariants))
+                         for index, planned in pending)
+        else:
+            simulated = self._on_pool(pending, telemetry_spec,
+                                      check_invariants, progress)
+        with contextlib.closing(simulated):
+            for index, planned in enumerate(plan):
+                progress.spec_started(planned.spec, index)
+                # Runs finish in any order on the pool; store each as it
+                # arrives and report this spec once its own run is in.
+                while outcomes[index] is None:
+                    done, (result, wall, cpu, telemetry, snapshot) = \
+                        next(simulated)
+                    spec = plan.runs[done].spec
+                    if cache is not None:
+                        with phases.phase("cache-write"):
+                            cache.put(spec, result, executor=self.name,
+                                      jobs=self.jobs)
+                    if acc is not None:
+                        acc.merge(snapshot)
+                    outcomes[done] = ExecutionOutcome(
+                        spec=spec, result=result, wall_seconds=wall,
+                        cpu_seconds=cpu, telemetry=telemetry,
+                        phases=snapshot)
+                outcome = outcomes[index]
+                counters = (outcome.phases or {}).get("counters", {})
+                progress.spec_finished(
+                    planned.spec, index, cached=outcome.cached,
+                    wall_seconds=outcome.wall_seconds,
+                    events=counters.get("events"),
+                    sim_seconds=counters.get("sim_seconds"))
         progress.plan_finished()
         return outcomes
+
+    def _on_pool(self, pending, telemetry_spec, check_invariants,
+                 progress) -> Iterator[Tuple[int, _Entry]]:
+        """Simulate *pending* on the pool, yielding runs as they finish."""
+        start_method = default_start_method()
+        pool_kwargs: Dict = {
+            "max_workers": self.jobs,
+            "mp_context": multiprocessing.get_context(start_method),
+        }
+        if start_method == "fork":
+            # Build every distinct relation/placement in the parent
+            # BEFORE the pool exists: forked workers inherit the warm
+            # memos copy-on-write and never rebuild.  Non-strict --
+            # a spec that cannot build crashes inside its worker with
+            # full WorkerCrash context instead of here.
+            prewarm([planned for _, planned in pending], strict=False)
+        else:
+            # Spawn-style workers inherit nothing; prewarm once per
+            # worker process via the pool initializer.  One planned run
+            # per distinct placement key is enough to warm both memos.
+            representatives: Dict[Tuple, PlannedRun] = {}
+            for _, planned in pending:
+                representatives.setdefault(planned.spec.placement_key(),
+                                           planned)
+            pool_kwargs.update(
+                initializer=_pool_initializer,
+                initargs=(tuple(representatives.values()),))
+
+        heartbeat_queue = progress.worker_queue()
+        with ProcessPoolExecutor(**pool_kwargs) as pool:
+            futures = {
+                pool.submit(_worker_execute_chunk,
+                            tuple(planned for _, planned in chunk),
+                            telemetry_spec, check_invariants,
+                            heartbeat_queue): chunk
+                for chunk in _chunk_pending(pending, self.jobs)
+            }
+            try:
+                for future in as_completed(futures):
+                    for (index, _), entry in zip(futures[future],
+                                                 future.result()):
+                        yield index, entry
+            except BaseException:
+                # First crash (or interrupt) wins: drop every chunk that
+                # has not started yet so the sweep stops promptly
+                # instead of simulating the rest of the plan first.
+                pool.shutdown(cancel_futures=True)
+                raise
 
 
 def _chunk_pending(pending: Sequence[Tuple[int, PlannedRun]], jobs: int
@@ -338,168 +392,6 @@ def _chunk_pending(pending: Sequence[Tuple[int, PlannedRun]], jobs: int
     return chunks
 
 
-class ParallelExecutor:
-    """Fans a plan out over a warm process pool (``--jobs N``).
-
-    ``start_method`` picks the multiprocessing context: ``"fork"``
-    (default where available) shares the parent's prewarmed memos with
-    every worker copy-on-write; ``"spawn"`` / ``"forkserver"`` fall
-    back to a per-worker initializer that prewarms once per process.
-    Results are bit-identical across methods and to serial.
-    """
-
-    name = "process-pool"
-
-    def __init__(self, jobs: int, start_method: Optional[str] = None):
-        if jobs < 2:
-            raise ValueError(f"ParallelExecutor needs jobs >= 2, got {jobs}")
-        if start_method is None:
-            start_method = default_start_method()
-        available = multiprocessing.get_all_start_methods()
-        if start_method not in available:
-            raise ValueError(
-                f"start method {start_method!r} unavailable on this "
-                f"platform (have: {', '.join(available)})")
-        self.jobs = jobs
-        self.start_method = start_method
-
-    def execute(self, plan: RunPlan,
-                cache: Optional[ResultCache] = None,
-                telemetry_spec: Optional[TelemetrySpec] = None,
-                telemetry_provider: Optional[TelemetryProvider] = None,
-                check_invariants: bool = False,
-                progress=None,
-                ) -> List[ExecutionOutcome]:
-        if telemetry_provider is not None:
-            raise ValueError(
-                "telemetry providers hold live objects and cannot cross "
-                "process boundaries; pass a TelemetrySpec instead")
-        progress = progress if progress is not None else NULL_PROGRESS
-        acc = phases.current()
-        collect_phases = acc is not None
-        progress.plan_started(len(plan), executor=self.name, jobs=self.jobs,
-                              figure=_plan_figure(plan))
-        outcomes: List[Optional[ExecutionOutcome]] = [None] * len(plan)
-        pending: List[Tuple[int, PlannedRun]] = []
-        tracing = telemetry_spec is not None or check_invariants
-        for index, planned in enumerate(plan):
-            progress.spec_started(planned.spec, index)
-            hit = None
-            if cache is not None and not tracing:
-                with phases.phase("cache-read"):
-                    hit = cache.get(planned.spec)
-            if hit is not None:
-                outcomes[index] = ExecutionOutcome(
-                    spec=planned.spec, result=hit, cached=True)
-                progress.spec_finished(planned.spec, index, cached=True)
-            else:
-                pending.append((index, planned))
-
-        if pending:
-            self._execute_pending(pending, outcomes, cache=cache,
-                                  telemetry_spec=telemetry_spec,
-                                  check_invariants=check_invariants,
-                                  collect_phases=collect_phases,
-                                  progress=progress, acc=acc)
-        progress.plan_finished()
-        return [outcome for outcome in outcomes if outcome is not None]
-
-    # -- internals ---------------------------------------------------------
-
-    def _execute_pending(self, pending, outcomes, cache, telemetry_spec,
-                         check_invariants, collect_phases, progress,
-                         acc) -> None:
-        fork_shared = self.start_method == "fork"
-        pool_kwargs: Dict = {
-            "max_workers": self.jobs,
-            "mp_context": multiprocessing.get_context(self.start_method),
-        }
-        if fork_shared:
-            # Build every distinct relation/placement in the parent
-            # BEFORE the pool exists: forked workers inherit the warm
-            # memos copy-on-write and never rebuild.  Non-strict --
-            # a spec that cannot build crashes inside its worker with
-            # full WorkerCrash context instead of here.
-            prewarm([planned for _, planned in pending], strict=False)
-        else:
-            # Spawn-style workers inherit nothing; prewarm once per
-            # worker process via the pool initializer.  One planned run
-            # per distinct placement key is enough to warm both memos.
-            seen, representatives = set(), []
-            for _, planned in pending:
-                key = planned.spec.placement_key()
-                if key not in seen:
-                    seen.add(key)
-                    representatives.append(planned)
-            pool_kwargs.update(initializer=_pool_initializer,
-                               initargs=(tuple(representatives),))
-
-        chunks = _chunk_pending(pending, self.jobs)
-        heartbeat_queue = progress.worker_queue()
-        # spec-finish events stay in plan order whatever order chunks
-        # complete in: finished chunks land here and are released as
-        # the plan-order frontier advances.
-        finished: Dict[int, Tuple[PlannedRun, tuple]] = {}
-        frontier = 0
-        order = [index for index, _ in pending]
-
-        with ProcessPoolExecutor(**pool_kwargs) as pool:
-            futures = {
-                pool.submit(_worker_execute_chunk,
-                            tuple(planned for _, planned in chunk),
-                            telemetry_spec, check_invariants,
-                            collect_phases, heartbeat_queue): chunk
-                for chunk in chunks
-            }
-            try:
-                for future in as_completed(futures):
-                    per_spec, chunk_snapshot = future.result()
-                    chunk = futures[future]
-                    for (index, planned), entry in zip(chunk, per_spec):
-                        result, wall, cpu, telemetry, snapshot = entry
-                        if cache is not None:
-                            with phases.phase("cache-write"):
-                                cache.put(planned.spec, result,
-                                          executor=self.name, jobs=self.jobs)
-                        outcomes[index] = ExecutionOutcome(
-                            spec=planned.spec, result=result,
-                            wall_seconds=wall, cpu_seconds=cpu,
-                            telemetry=telemetry, phases=snapshot)
-                        finished[index] = (planned, entry)
-                    if chunk_snapshot is not None and acc is not None:
-                        acc.merge(chunk_snapshot)
-                    while frontier < len(order) and order[frontier] in finished:
-                        index = order[frontier]
-                        planned, entry = finished.pop(index)
-                        _, wall, _, _, snapshot = entry
-                        counters = (snapshot or {}).get("counters", {})
-                        progress.spec_finished(
-                            planned.spec, index, cached=False,
-                            wall_seconds=wall,
-                            events=counters.get("events"),
-                            sim_seconds=counters.get("sim_seconds"))
-                        frontier += 1
-            except BaseException:
-                # First crash (or interrupt) wins: drop every chunk that
-                # has not started yet so the sweep stops promptly
-                # instead of simulating the rest of the plan first.
-                pool.shutdown(cancel_futures=True)
-                raise
-
-
 def _plan_figure(plan: RunPlan) -> Optional[str]:
     """The figure name a plan regenerates (None for an empty plan)."""
     return plan.runs[0].spec.figure if len(plan) else None
-
-
-def make_executor(jobs: int = 1, start_method: Optional[str] = None):
-    """The executor for a requested parallelism level.
-
-    ``start_method`` is forwarded to :class:`ParallelExecutor` (and
-    ignored for serial): ``None`` picks fork where available.
-    """
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    if jobs == 1:
-        return SerialExecutor()
-    return ParallelExecutor(jobs, start_method=start_method)

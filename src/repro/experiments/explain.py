@@ -3,11 +3,11 @@
 The paper's §7 explains each figure by naming the saturated resource
 (MAGIC's scheduler CPU at high multiprogramming levels, BERD's
 sequential auxiliary probe, range's full-broadcast disk load).  This
-module compiles a single (figure, MPL) point per strategy into a
-:class:`~repro.experiments.plan.RunPlan`, executes it with telemetry
-enabled (optionally on a process pool -- the workers return detached
-telemetry snapshots) and prints the per-query-type resource breakdown
--- the measured version of that narrative.
+module re-runs a single (figure, MPL) point per strategy through
+:func:`~repro.experiments.runner.run_experiment` with a
+:class:`~repro.obs.telemetry.TelemetrySpec`, and prints the
+per-query-type resource breakdown -- the measured version of that
+narrative.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from ..gamma import GAMMA_PARAMETERS, SimulationParameters
 from ..obs import Telemetry, TelemetrySpec, dominant_resource, why_table
 from .cache import ResultCache
 from .config import FIGURES
-from .executor import make_executor
-from .plan import compile_figure
+from .runner import run_experiment
 
 __all__ = ["explain_figure", "ExplainResult"]
 
@@ -87,8 +86,7 @@ def explain_figure(figure: str, mpl: int = 64,
                    measured_queries: int = 200, seed: int = 13,
                    params: SimulationParameters = GAMMA_PARAMETERS,
                    strategies: Optional[Sequence[str]] = None,
-                   jobs: int = 1, start_method: Optional[str] = None,
-                   cache: Optional[ResultCache] = None,
+                   jobs: int = 1, cache: Optional[ResultCache] = None,
                    check_invariants: bool = False,
                    progress=None) -> ExplainResult:
     """Re-run one (figure, MPL) point per strategy with tracing on.
@@ -97,18 +95,16 @@ def explain_figure(figure: str, mpl: int = 64,
     :func:`~repro.experiments.runner.run_experiment`; traced points are
     always simulated, so ``cache`` is only written through.
     """
-    config = FIGURES[figure]
-    plan = compile_figure(config, cardinality=cardinality,
-                          num_sites=num_sites,
-                          measured_queries=measured_queries,
-                          mpls=(mpl,), seed=seed, params=params,
-                          strategies=strategies)
-    outcomes = make_executor(jobs, start_method=start_method).execute(
-        plan, cache=cache, telemetry_spec=TelemetrySpec(),
-        check_invariants=check_invariants, progress=progress)
+    figure_result = run_experiment(
+        FIGURES[figure], cardinality=cardinality, num_sites=num_sites,
+        measured_queries=measured_queries, mpls=(mpl,), seed=seed,
+        params=params, strategies=strategies, jobs=jobs, cache=cache,
+        telemetry_spec=TelemetrySpec(), check_invariants=check_invariants,
+        progress=progress)
 
     result = ExplainResult(figure, mpl)
-    for outcome in outcomes:
-        result.run_results[outcome.spec.strategy] = outcome.result
-        result.telemetry[outcome.spec.strategy] = outcome.telemetry
+    for strategy, (run,) in figure_result.series.items():
+        result.run_results[strategy] = run
+        result.telemetry[strategy] = figure_result.telemetries[
+            (strategy, mpl)]
     return result

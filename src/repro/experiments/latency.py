@@ -42,8 +42,6 @@ from ..obs.critpath import (critical_paths, critpath_table,
                             summarize_critical_paths)
 from ..obs.sketch import LatencyRecorder, QUANTILES
 from .config import FIGURES
-from .executor import make_executor
-from .plan import compile_figure
 
 __all__ = ["latency_payload", "latency_table", "recorders_from_payload",
            "traced_latency_report"]
@@ -158,8 +156,8 @@ def latency_table(payload: Dict, mpls: Optional[Iterable[int]] = None,
 def traced_latency_report(figure: str, mpls: Sequence[int] = (16,),
                           cardinality: int = 100_000, num_sites: int = 32,
                           measured_queries: int = 200, seed: int = 13,
-                          jobs: int = 1, start_method: Optional[str] = None,
-                          cache=None, check_invariants: bool = False,
+                          jobs: int = 1, cache=None,
+                          check_invariants: bool = False,
                           progress=None) -> str:
     """Re-run *figure* at *mpls* with tracing + latency capture on.
 
@@ -168,23 +166,20 @@ def traced_latency_report(figure: str, mpls: Sequence[int] = (16,),
     mean what they mean for
     :func:`~repro.experiments.runner.run_experiment`.
     """
-    plan = compile_figure(FIGURES[figure], cardinality=cardinality,
-                          num_sites=num_sites,
-                          measured_queries=measured_queries,
-                          mpls=tuple(mpls), seed=seed)
-    outcomes = make_executor(jobs, start_method=start_method).execute(
-        plan, cache=cache, telemetry_spec=TelemetrySpec(latency=True),
+    # Imported here: the runner imports this module for latency_payload.
+    from .runner import run_experiment
+    result = run_experiment(
+        FIGURES[figure], cardinality=cardinality, num_sites=num_sites,
+        measured_queries=measured_queries, mpls=tuple(mpls), seed=seed,
+        jobs=jobs, cache=cache, telemetry_spec=TelemetrySpec(latency=True),
         check_invariants=check_invariants, progress=progress)
-    telemetries = {(o.spec.strategy, o.spec.multiprogramming_level):
-                   o.telemetry for o in outcomes}
     blocks = [f"figure {figure} at MPL {','.join(map(str, mpls))} (live "
               f"traced run, {measured_queries} measured queries per "
               f"strategy):"]
-    payload = latency_payload(telemetries)
-    if payload is not None:
-        blocks.append(latency_table(payload).rstrip())
-    for (strategy, mpl), telemetry in sorted(telemetries.items()):
-        if telemetry is None or telemetry.spans is None:
+    if result.latency is not None:
+        blocks.append(latency_table(result.latency).rstrip())
+    for (strategy, mpl), telemetry in sorted(result.telemetries.items()):
+        if telemetry.spans is None:
             continue
         summaries = summarize_critical_paths(
             critical_paths(span_records(telemetry.spans)))

@@ -3,8 +3,13 @@
 Regenerates the throughput-vs-multiprogramming-level series behind every
 figure of the paper's evaluation.  :func:`run_experiment` compiles the
 (strategy x MPL) grid into a :class:`~repro.experiments.plan.RunPlan`,
-hands it to a serial or process-pool executor (``jobs``), and reshapes
-the outcomes into the per-strategy series the reports and plots expect.
+hands it to the :class:`~repro.experiments.executor.PlanExecutor`
+(in-process, or on a warm process pool when ``jobs`` > 1), records the
+figure's wall-clock phases, and reshapes the outcomes into the
+per-strategy series the reports and plots expect.  It is also the one
+entry point of the traced re-runs (``repro explain``, ``repro
+latency --figure``), which request telemetry with a
+:class:`~repro.obs.telemetry.TelemetrySpec` like any other caller.
 Placements are built once per (strategy, correlation) per process --
 the plan layer's memo -- and reused across the MPL sweep, as in the
 paper: the relation is declustered once, then measured under different
@@ -15,24 +20,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..gamma import GAMMA_PARAMETERS, RunResult, SimulationParameters
 from ..obs import Telemetry, TelemetrySpec, phases
 from .cache import ResultCache
 from .config import ExperimentConfig
-from .executor import make_executor
+from .executor import PlanExecutor
 from .latency import latency_payload
 from .plan import PAPER_INDEXES, build_strategy, compile_figure
 
-__all__ = ["FigureResult", "TelemetryFactory", "build_strategy",
-           "run_experiment", "check_expectation", "PAPER_INDEXES"]
-
-#: Called once per (strategy, MPL) run; returns the run's Telemetry
-#: (or None to run without instrumentation).  Serial-only: live
-#: telemetry objects cannot cross process boundaries -- pass a
-#: :class:`~repro.obs.telemetry.TelemetrySpec` instead under ``jobs``.
-TelemetryFactory = Callable[[str, int], Optional[Telemetry]]
+__all__ = ["FigureResult", "build_strategy", "run_experiment",
+           "check_expectation", "PAPER_INDEXES"]
 
 
 @dataclass
@@ -84,8 +83,9 @@ class FigureResult:
     audit: Optional[Dict] = None
     #: Wall-clock phase attribution for the whole figure (a
     #: :meth:`~repro.obs.phases.PhaseAccumulator.snapshot`: per-phase
-    #: seconds/counts, raw spans per pid, peak-RSS marks).  None when
-    #: phase collection was off; round-trips through results-v2 JSON.
+    #: seconds/counts, raw spans per pid, peak-RSS marks).  Always
+    #: recorded by :func:`run_experiment`; None only on results loaded
+    #: from files saved without it.  Round-trips through results-v2 JSON.
     phases: Optional[Dict] = None
     #: Response-time distribution payload (see
     #: :func:`~repro.experiments.latency.latency_payload`): per-point
@@ -119,44 +119,35 @@ def run_experiment(config: ExperimentConfig,
                    seed: int = 13,
                    params: SimulationParameters = GAMMA_PARAMETERS,
                    strategies: Optional[Sequence[str]] = None,
-                   telemetry_factory: Optional[TelemetryFactory] = None,
                    jobs: int = 1,
-                   start_method: Optional[str] = None,
                    cache: Optional[ResultCache] = None,
                    telemetry_spec: Optional[TelemetrySpec] = None,
                    check_invariants: bool = False,
                    progress=None,
-                   collect_phases: bool = True,
                    ) -> FigureResult:
     """Regenerate one figure; returns every (strategy, MPL) run result.
 
     ``jobs`` > 1 executes the grid on a warm process pool with
     bit-identical results (every seed derives from the run's spec): the
     parent prewarms the distinct relations/placements the plan needs,
-    then forks workers that inherit the memos copy-on-write
-    (``start_method`` overrides the multiprocessing context; spawn
-    falls back to a per-worker prewarm initializer).  ``cache`` makes
-    the figure resumable: completed points are loaded, missing ones
-    simulated and stored.  ``telemetry_spec`` collects per-run
-    telemetry under any executor; ``telemetry_factory(strategy, mpl)``
-    is the legacy serial-only hook for callers that hold on to the live
-    objects themselves.  ``check_invariants`` runs every point under
-    the conservation-law checker (see :mod:`repro.validation`): the
-    first breach raises, results are bit-identical either way.
+    then forks workers that inherit the memos copy-on-write (where fork
+    is unavailable, a per-worker initializer prewarms instead).
+    ``cache`` makes the figure resumable: completed points are loaded,
+    missing ones simulated and stored.  ``telemetry_spec`` collects
+    per-run telemetry at any ``jobs``, returned as detached snapshots
+    in :attr:`FigureResult.telemetries`.  ``check_invariants`` runs
+    every point under the conservation-law checker (see
+    :mod:`repro.validation`): the first breach raises, results are
+    bit-identical either way.
 
     ``progress`` (a :class:`~repro.obs.progress.ProgressTracker`)
-    streams executor lifecycle events; ``collect_phases`` (default on)
-    records wall-clock phase attribution into the result.  Both are
+    streams executor lifecycle events, and wall-clock phase attribution
+    is always recorded into :attr:`FigureResult.phases`.  Both are
     purely observational: series and spec digests are bit-identical
-    with them on or off.
+    with progress on or off.
     """
-    if telemetry_factory is not None and jobs != 1:
-        raise ValueError(
-            "telemetry_factory is serial-only (live telemetry cannot "
-            "cross processes); use telemetry_spec with jobs > 1")
     started = time.time()
-    accumulator = (phases.push(phases.PhaseAccumulator())
-                   if collect_phases else None)
+    accumulator = phases.push(phases.PhaseAccumulator())
     try:
         with phases.phase("plan-compile"):
             plan = compile_figure(config, cardinality=cardinality,
@@ -164,19 +155,13 @@ def run_experiment(config: ExperimentConfig,
                                   measured_queries=measured_queries,
                                   mpls=mpls, seed=seed, params=params,
                                   strategies=strategies)
-        executor = make_executor(jobs, start_method=start_method)
-        provider = None
-        if telemetry_factory is not None:
-            provider = lambda spec: telemetry_factory(
-                spec.strategy, spec.multiprogramming_level)
+        executor = PlanExecutor(jobs)
         outcomes = executor.execute(plan, cache=cache,
                                     telemetry_spec=telemetry_spec,
-                                    telemetry_provider=provider,
                                     check_invariants=check_invariants,
                                     progress=progress)
     finally:
-        if accumulator is not None:
-            phases.pop(merge_into_parent=False)
+        phases.pop(merge_into_parent=False)
 
     result = FigureResult(config=config, cardinality=cardinality,
                           num_sites=num_sites,
@@ -198,8 +183,7 @@ def run_experiment(config: ExperimentConfig,
                                 spec.multiprogramming_level)] = \
                 outcome.telemetry
     result.wall_seconds = time.time() - started
-    if accumulator is not None:
-        result.phases = accumulator.snapshot()
+    result.phases = accumulator.snapshot()
     result.latency = latency_payload(result.telemetries)
     return result
 

@@ -5,8 +5,9 @@ x-axis), a systems study wants sensitivity analyses: how does the
 comparison move when a hardware or workload parameter changes?
 :func:`sweep` compiles a (strategy x value) grid over any knob
 expressible as a :class:`SweepAxis` into a
-:class:`~repro.experiments.plan.RunPlan`, executes it on a serial or
-process-pool backend (``jobs``), and returns a tidy result table.
+:class:`~repro.experiments.plan.RunPlan`, executes it with the
+:class:`~repro.experiments.executor.PlanExecutor` (``jobs``), and
+returns a tidy result table.
 
 Built-in axes cover the sweeps the extension benchmarks use:
 machine size, QB selectivity, attribute correlation, buffer-pool size
@@ -21,7 +22,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 from ..gamma import GAMMA_PARAMETERS, RunResult, SimulationParameters
 from .cache import ResultCache
 from .config import ExperimentConfig, FIGURES
-from .executor import make_executor
+from .executor import PlanExecutor
 from .plan import RunPlan, compile_point, execute_run
 
 __all__ = ["SweepAxis", "SweepPoint", "SweepResult", "sweep",
@@ -152,7 +153,6 @@ def sweep(axis: str, values: Sequence[float],
           jobs: int = 1,
           cache: Optional[ResultCache] = None,
           num_sites: int = 32,
-          start_method: Optional[str] = None,
           check_invariants: bool = False,
           progress=None) -> SweepResult:
     """Run a (strategy x value) grid along one named axis.
@@ -180,14 +180,13 @@ def sweep(axis: str, values: Sequence[float],
                 seed=seed, **overrides))
             labels.append((value, name))
 
-    executor = make_executor(jobs, start_method=start_method)
-    outcomes = executor.execute(RunPlan(runs=tuple(runs)), cache=cache,
-                                check_invariants=check_invariants,
-                                progress=progress)
+    outcomes = PlanExecutor(jobs).execute(
+        RunPlan(runs=tuple(runs)), cache=cache,
+        check_invariants=check_invariants, progress=progress)
 
     result = SweepResult(axis=axis, figure=figure,
                          multiprogramming_level=multiprogramming_level,
-                         jobs=executor.jobs)
+                         jobs=jobs)
     for (value, name), outcome in zip(labels, outcomes):
         result.points.append(SweepPoint(strategy=name, value=value,
                                         result=outcome.result))

@@ -27,7 +27,7 @@ import random
 from dataclasses import dataclass, field
 from typing import List, Optional
 
-from ..des import Environment, Event, TallyMonitor
+from ..des import Environment, Event
 from ..obs.registry import NULL_REGISTRY
 from .cpu import Cpu, DMA_PRIORITY
 from .params import SimulationParameters
@@ -55,7 +55,7 @@ class Disk:
     __slots__ = ("env", "params", "cpu", "name", "obs_label", "_reads",
                  "_writes", "_pages", "_wait_hist", "_rng", "_pending",
                  "_arrival", "_current_cylinder", "_sweep_up",
-                 "busy_seconds", "wait_times", "requests_served",
+                 "busy_seconds", "requests_served",
                  "_page_transfer_seconds", "_dma_service")
 
     def __init__(self, env: Environment, params: SimulationParameters,
@@ -76,7 +76,6 @@ class Disk:
         self._current_cylinder = 0
         self._sweep_up = True
         self.busy_seconds = 0.0
-        self.wait_times = TallyMonitor(f"{name}.wait")
         self.requests_served = 0
         # Per-page constants, resolved once instead of per service.  The
         # DMA burst length uses the same division cpu.execute() performs
@@ -127,7 +126,6 @@ class Disk:
     def reset_stats(self) -> None:
         self.busy_seconds = 0.0
         self.requests_served = 0
-        self.wait_times.reset()
 
     # -- elevator ----------------------------------------------------------
 
@@ -156,7 +154,6 @@ class Disk:
     def _service(self, request: DiskRequest):
         start = self.env.now
         queue_wait = start - request.enqueued_at
-        self.wait_times.record(queue_wait)
         self._wait_hist.record(queue_wait)
 
         distance = abs(request.cylinder - self._current_cylinder)

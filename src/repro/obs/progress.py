@@ -4,15 +4,19 @@ Long figure regenerations used to run in total silence; this module
 gives every plan execution a lifecycle feed:
 
 * ``plan-start`` -- once, with the total spec count and executor shape;
-* ``spec-start`` -- a spec was picked up (serial) or submitted to a
-  worker (parallel), in plan order;
-* ``heartbeat`` -- a parallel worker crossed a wall-clock phase
-  boundary (relation-build, simulate, ...); carries the spec digest,
-  phase, pid, worker wall seconds, and -- once simulation finished --
-  agenda events processed and the final simulated clock;
-* ``spec-finish`` -- terminal, exactly once per spec, with
-  ``status: executed | cached`` (emitted by the parent in plan order,
-  so the stream is deterministic modulo heartbeat interleaving);
+* ``spec-start`` / ``spec-finish`` -- one pair per spec, emitted by
+  the parent in plan order whatever ``jobs`` is, cached specs
+  included: ``spec-start`` when the parent reaches the spec (just
+  before simulating it in-process, or while waiting for it from the
+  pool), then the terminal ``spec-finish``, exactly once per spec,
+  with ``status: executed | cached``.  Index ``i`` finishes before
+  index ``i + 1`` starts, so the stream is deterministic modulo
+  heartbeat interleaving;
+* ``heartbeat`` -- a pool worker crossed a wall-clock phase boundary
+  (relation-build, simulate, ...); carries the spec digest, phase,
+  pid, worker wall seconds, and -- once simulation finished -- agenda
+  events processed and the final simulated clock (in-process runs
+  send none);
 * ``plan-end`` -- once, with executed/cached totals.
 
 Two renderings share the feed: ``mode="line"`` keeps one

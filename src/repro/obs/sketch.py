@@ -18,7 +18,7 @@ Properties the experiment harness leans on:
 * **exact merge** -- merging two sketches adds bucket counts; recording
   a stream into one sketch and merging per-worker shards of the same
   stream produce identical bucket tables, which is what lets
-  ``ParallelExecutor`` workers ship per-run sketches back to the parent;
+  process-pool workers ship per-run sketches back to the parent;
 * **picklable / JSON round-trip** -- plain ints and floats only.
 
 :class:`LatencyRecorder` keys one sketch per query type and is the

@@ -10,8 +10,6 @@ class TestTallyMonitor:
         m = TallyMonitor("empty")
         assert m.count == 0
         assert m.mean == 0.0
-        assert m.minimum == 0.0
-        assert m.maximum == 0.0
 
     def test_basic_stats(self):
         m = TallyMonitor()
@@ -20,8 +18,6 @@ class TestTallyMonitor:
         assert m.count == 3
         assert m.mean == pytest.approx(4.0)
         assert m.total == pytest.approx(12.0)
-        assert m.minimum == 2.0
-        assert m.maximum == 6.0
 
     def test_reset_clears(self):
         m = TallyMonitor("rt")
@@ -30,47 +26,26 @@ class TestTallyMonitor:
         assert m.count == 0
         assert m.name == "rt"
 
-    def test_percentiles(self):
-        m = TallyMonitor().keep_samples()
-        for v in range(1, 101):
-            m.record(float(v))
-        assert m.percentile(50) == pytest.approx(50.0, abs=1.0)
-        assert m.percentile(0) == 1.0
-        assert m.percentile(100) == 100.0
-
-    def test_percentile_without_samples_raises(self):
-        m = TallyMonitor()
-        m.record(1.0)
-        with pytest.raises(RuntimeError):
-            m.percentile(50)
-
     def test_single_observation(self):
         m = TallyMonitor()
         m.record(5.0)
         assert m.mean == 5.0
-        assert m.minimum == m.maximum == 5.0
+        assert m.total == 5.0
 
     def test_negative_values_supported(self):
         m = TallyMonitor()
         for v in (-2.0, -4.0):
             m.record(v)
         assert m.mean == -3.0
-        assert m.minimum == -4.0
-        assert m.maximum == -2.0
+        assert m.total == -6.0
 
     def test_stats_usable_after_reset(self):
-        m = TallyMonitor().keep_samples()
+        m = TallyMonitor()
         m.record(1.0)
         m.reset()
         m.record(9.0)
         assert m.count == 1
         assert m.mean == 9.0
-        # keep_samples state is intentionally dropped by the reset.
-        with pytest.raises(RuntimeError):
-            m.percentile(50)
-
-    def test_empty_percentile_is_zero(self):
-        assert TallyMonitor().keep_samples().percentile(50) == 0.0
 
 
 class TestTimeWeightedMonitor:

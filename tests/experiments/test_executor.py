@@ -16,19 +16,18 @@ import pytest
 
 from repro.experiments import (
     FIGURES,
-    ParallelExecutor,
+    PlanExecutor,
     ResultCache,
-    SerialExecutor,
     WorkerCrash,
     compile_figure,
     compile_point,
     figure_from_dict,
     figure_to_dict,
-    make_executor,
     run_experiment,
 )
+from repro.experiments import executor as executor_module
 from repro.experiments.executor import _chunk_pending
-from repro.obs import Telemetry, TelemetrySpec, phases
+from repro.obs import TelemetrySpec, phases
 
 #: Start methods worth exercising here: fork covers the copy-on-write
 #: memo path, spawn the per-worker initializer prewarm.  Filtered by
@@ -51,18 +50,18 @@ def _series_payload(result):
 
 class TestMakeExecutor:
     def test_serial_for_one_job(self):
-        assert isinstance(make_executor(1), SerialExecutor)
+        executor = PlanExecutor(1)
+        assert executor.jobs == 1
+        assert executor.name == "serial"
 
     def test_parallel_for_many(self):
-        executor = make_executor(3)
-        assert isinstance(executor, ParallelExecutor)
+        executor = PlanExecutor(3)
         assert executor.jobs == 3
+        assert executor.name == "process-pool"
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
-            make_executor(0)
-        with pytest.raises(ValueError):
-            ParallelExecutor(1)
+            PlanExecutor(0)
 
 
 class TestParallelDeterminism:
@@ -77,21 +76,15 @@ class TestParallelDeterminism:
     def test_outcomes_arrive_in_plan_order(self):
         plan = compile_figure(FIGURES["8a"], cardinality=8_000, num_sites=4,
                               measured_queries=20, mpls=(1, 2), seed=5)
-        outcomes = ParallelExecutor(jobs=2).execute(plan)
+        outcomes = PlanExecutor(jobs=2).execute(plan)
         assert [o.spec for o in outcomes] == plan.specs()
 
-    def test_live_telemetry_provider_rejected(self):
-        plan = compile_figure(FIGURES["8a"], cardinality=8_000, num_sites=4,
-                              measured_queries=10, mpls=(1,), seed=5)
-        with pytest.raises(ValueError, match="process boundaries"):
-            ParallelExecutor(jobs=2).execute(
-                plan, telemetry_provider=lambda spec: Telemetry())
-
-    def test_parallel_telemetry_spec_returns_snapshots(self):
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_parallel_telemetry_spec_returns_snapshots(self, jobs):
         plan = compile_figure(FIGURES["8a"], cardinality=8_000, num_sites=4,
                               measured_queries=20, mpls=(2,), seed=5,
                               strategies=("range",))
-        (outcome,) = ParallelExecutor(jobs=2).execute(
+        (outcome,) = PlanExecutor(jobs=jobs).execute(
             plan, telemetry_spec=TelemetrySpec())
         assert outcome.telemetry is not None
         assert outcome.telemetry.env is None  # detached snapshot
@@ -106,9 +99,9 @@ class TestStartMethods:
     """The parallel contract holds under every start method we can pin.
 
     Fork exercises parent prewarm + copy-on-write memo inheritance,
-    spawn the per-worker initializer prewarm -- so a Python-default
-    change (3.14 stops defaulting to fork on Linux) cannot silently
-    flip the executor onto an untested path.
+    spawn the per-worker initializer prewarm -- the path platforms
+    without fork take.  The pool always starts with
+    ``default_start_method()``, so spawn is reached by patching it.
     """
 
     KWARGS = dict(cardinality=8_000, num_sites=4, measured_queries=20,
@@ -119,15 +112,13 @@ class TestStartMethods:
         return _series_payload(run_experiment(FIGURES["8a"], **self.KWARGS))
 
     @pytest.mark.parametrize("start_method", START_METHODS)
-    def test_bit_identical_to_serial(self, start_method, serial_payload):
-        parallel = run_experiment(FIGURES["8a"], jobs=2,
-                                  start_method=start_method, **self.KWARGS)
+    def test_bit_identical_to_serial(self, start_method, serial_payload,
+                                     monkeypatch):
+        monkeypatch.setattr(executor_module, "default_start_method",
+                            lambda: start_method)
+        parallel = run_experiment(FIGURES["8a"], jobs=2, **self.KWARGS)
         assert _series_payload(parallel) == serial_payload
         assert parallel.process_cpu_seconds > 0
-
-    def test_unavailable_start_method_rejected(self):
-        with pytest.raises(ValueError, match="unavailable"):
-            ParallelExecutor(2, start_method="no-such-method")
 
     @pytest.mark.skipif("fork" not in START_METHODS,
                         reason="fork unavailable on this platform")
@@ -139,8 +130,7 @@ class TestStartMethods:
         plan = compile_figure(FIGURES["8a"], **self.KWARGS)
         acc = phases.push(phases.PhaseAccumulator())
         try:
-            outcomes = ParallelExecutor(
-                jobs=2, start_method="fork").execute(plan)
+            outcomes = PlanExecutor(jobs=2).execute(plan)
         finally:
             phases.pop(merge_into_parent=False)
         assert len(outcomes) == 6
@@ -227,10 +217,9 @@ class TestCrashContainment:
             open(os.path.join(marker_dir, f"ran-{mpl}"), "w").close()
             return "dummy-result", 0.2, 0.0
 
-        from repro.experiments import executor as executor_module
         monkeypatch.setattr(executor_module, "_run_one", fake_run_one)
         with pytest.raises(WorkerCrash, match="injected crash") as err:
-            ParallelExecutor(jobs=2, start_method="fork").execute(plan)
+            PlanExecutor(jobs=2).execute(plan)
         # The crash report names the offending spec.
         assert "mpl 12" in str(err.value)
         assert "strategy 'range'" in str(err.value)
@@ -283,7 +272,7 @@ class TestResultCache:
 
     def test_put_get_round_trip(self, tmp_path):
         cache = ResultCache(str(tmp_path))
-        (outcome,) = SerialExecutor().execute(
+        (outcome,) = PlanExecutor().execute(
             compile_figure(FIGURES["8a"], cardinality=8_000, num_sites=4,
                            measured_queries=20, mpls=(2,), seed=5,
                            strategies=("range",)), cache=cache)
@@ -302,7 +291,7 @@ class TestResultCache:
         plan = compile_figure(FIGURES["8a"], cardinality=8_000, num_sites=4,
                               measured_queries=20, mpls=(2,), seed=5,
                               strategies=("range",))
-        SerialExecutor().execute(plan, cache=cache)
+        PlanExecutor().execute(plan, cache=cache)
         path = cache.path_for(plan.specs()[0])
         with open(path, "w") as handle:
             handle.write("{ truncated")
@@ -339,8 +328,8 @@ class TestResultCache:
         plan = compile_figure(FIGURES["8a"], cardinality=8_000, num_sites=4,
                               measured_queries=20, mpls=(2,), seed=5,
                               strategies=("range",))
-        SerialExecutor().execute(plan, cache=cache)
-        (outcome,) = SerialExecutor().execute(
+        PlanExecutor().execute(plan, cache=cache)
+        (outcome,) = PlanExecutor().execute(
             plan, cache=cache, telemetry_spec=TelemetrySpec())
         # Tracing needs a live simulation: the hit must not short-circuit.
         assert not outcome.cached

@@ -5,6 +5,7 @@ import pytest
 from repro.des import Environment
 from repro.gamma import GAMMA_PARAMETERS, Cpu, Disk
 from repro.gamma.cpu import DMA_PRIORITY
+from repro.obs import MetricsRegistry
 
 
 @pytest.fixture
@@ -217,7 +218,8 @@ class TestDisk:
             disk.submit(cylinder=10_000_000, num_pages=1)
 
     def test_wait_times_recorded(self, env, cpu):
-        disk = Disk(env, GAMMA_PARAMETERS, cpu, seed=1)
+        registry = MetricsRegistry()
+        disk = Disk(env, GAMMA_PARAMETERS, cpu, seed=1, registry=registry)
 
         def proc(env):
             a = disk.submit(cylinder=10, num_pages=1)
@@ -227,7 +229,8 @@ class TestDisk:
 
         env.process(proc(env))
         env.run()
-        assert disk.wait_times.count == 2
+        waits = registry.get("disk.wait_seconds")
+        assert waits.count == 2
         assert disk.requests_served == 2
         # The second request waited for the first's service.
-        assert disk.wait_times.maximum > 0
+        assert waits.max > 0

@@ -13,7 +13,7 @@ import pytest
 
 from repro.experiments import FIGURES, run_experiment
 from repro.obs import (
-    Telemetry,
+    TelemetrySpec,
     chrome_events_from_phase_spans,
     chrome_events_from_span_records,
     chrome_trace,
@@ -30,6 +30,13 @@ TINY = dict(cardinality=2_000, num_sites=4, measured_queries=5,
 @pytest.fixture(scope="module")
 def tiny_result():
     return run_experiment(FIGURES["8a"], **TINY)
+
+
+def _traced_telemetry():
+    """The detached telemetry of the one traced TINY run."""
+    result = run_experiment(FIGURES["8a"], telemetry_spec=TelemetrySpec(),
+                            **TINY)
+    return result.telemetries[("range", 1)]
 
 
 class TestPhaseSpanEvents:
@@ -62,9 +69,7 @@ class TestPhaseSpanEvents:
 
 class TestSimulatedSpanEvents:
     def test_telemetry_spans_become_valid_trace(self):
-        telemetry = Telemetry()
-        run_experiment(FIGURES["8a"],
-                       telemetry_factory=lambda s, m: telemetry, **TINY)
+        telemetry = _traced_telemetry()
         records = list(span_records(telemetry.spans))
         assert records
         events = chrome_events_from_span_records(records, pid=42)
@@ -101,9 +106,7 @@ class TestTraceCli:
         results_path = str(tmp_path / "figure_8a.json")
         save_figure_json(tiny_result, results_path)
 
-        telemetry = Telemetry()
-        run_experiment(FIGURES["8a"],
-                       telemetry_factory=lambda s, m: telemetry, **TINY)
+        telemetry = _traced_telemetry()
         spans_path = str(tmp_path / "run.spans.jsonl")
         write_spans_jsonl(telemetry.spans, spans_path)
 

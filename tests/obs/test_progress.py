@@ -3,10 +3,10 @@
 The ``--progress jsonl`` stream is the machine-facing contract: every
 spec must reach exactly one terminal ``spec-finish`` event (status
 ``executed`` or ``cached``), framed by one ``plan-start`` and one
-``plan-end``, under the serial executor, the process pool, and the
-all-cache-hits path alike.  Terminal events are emitted by the parent
-in plan order, so everything except heartbeat interleaving is asserted
-verbatim.
+``plan-end``, in-process and on the process pool, on fresh, partly
+cached and fully cached plans alike.  Terminal events are emitted by
+the parent in plan order whatever ``jobs`` is, so everything except
+heartbeat interleaving is asserted verbatim.
 """
 
 import io
@@ -26,12 +26,12 @@ TINY = dict(cardinality=2_000, num_sites=4, measured_queries=5,
             mpls=(1, 2), seed=13, strategies=("range",))
 
 
-def _run_with_progress(jobs=1, cache=None):
+def _run_with_progress(jobs=1, cache=None, **overrides):
     buffer = io.StringIO()
     progress = ProgressTracker(stream=buffer, mode="jsonl")
     try:
         result = run_experiment(FIGURES["8a"], jobs=jobs, cache=cache,
-                                progress=progress, **TINY)
+                                progress=progress, **{**TINY, **overrides})
     finally:
         progress.close()
     return result, read_progress_jsonl(buffer.getvalue())
@@ -93,6 +93,19 @@ class TestGoldenSequences:
         _assert_terminal_exactly_once(events, 2, ["cached", "cached"])
         assert not [e for e in events if e["event"] == "heartbeat"]
         assert result.cached_runs == 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_partly_cached_plan_finishes_in_plan_order(self, tmp_path, jobs):
+        """A cached spec between two simulated ones still finishes in
+        its plan slot: the pool must not report it ahead of index 0."""
+        cache = ResultCache(str(tmp_path))
+        run_experiment(FIGURES["8a"], cache=cache,
+                       **{**TINY, "mpls": (2,)})  # warm the middle MPL
+        result, events = _run_with_progress(jobs=jobs, cache=cache,
+                                            mpls=(1, 2, 4))
+        _assert_terminal_exactly_once(events, 3,
+                                      ["executed", "cached", "executed"])
+        assert result.cached_runs == 1
 
 
 class TestTrackerUnit:
