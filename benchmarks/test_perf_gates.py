@@ -58,6 +58,7 @@ WALL_SPEEDUP_FLOOR = 1.3
 
 TRACE_CEILING = 2.0
 LATENCY_CEILING = 1.3
+CAPTURE_ROUNDS = 3
 
 SCALEUP_SITES = (1024,)
 SCALEUP_MPL = 8
@@ -263,23 +264,34 @@ def test_capture_overhead():
 
     Neither may change the simulation.  One untimed run first warms the
     relation and placement memos, so no timed arm pays their builds.
+    The off and capture arms run interleaved, CAPTURE_ROUNDS times, and
+    each keeps its best (lowest) process CPU: one off run against one
+    on run reads the host's drift between the two, not capture's cost.
     """
     arms = {
-        "tracing": (dict(telemetry_spec=TelemetrySpec()), TRACE_CEILING),
-        "latency": (dict(telemetry_spec=TelemetrySpec(
+        "off": {},
+        "tracing": dict(telemetry_spec=TelemetrySpec()),
+        "latency": dict(telemetry_spec=TelemetrySpec(
             trace=False, timeline_interval=0.0, latency=True)),
-            LATENCY_CEILING),
     }
-    _fig8a()
-    ratios = {}
-    for name, (options, _) in arms.items():
-        off_wall, off = _fig8a()
-        on_wall, on = _fig8a(**options)
-        assert on.series == off.series, name
-        ratios[name] = on_wall / off_wall
-        print(f"\n{name}: off {off_wall:.3f} s, on {on_wall:.3f} s, "
-              f"{ratios[name]:.3f}x")
-    for name, (_, ceiling) in arms.items():
+    ceilings = {"tracing": TRACE_CEILING, "latency": LATENCY_CEILING}
+    _, reference = _fig8a()
+    cpus = {}
+    for round_ in range(CAPTURE_ROUNDS):
+        for name, options in arms.items():
+            before = _usage_now()
+            wall, result = _fig8a(**options)
+            user, system, _ = (after - start for after, start
+                               in zip(_usage_now(), before))
+            assert result.series == reference.series, name
+            print(f"\nround {round_} {name}: {wall:.3f} s wall, "
+                  f"{user + system:.3f} s CPU")
+            cpus[name] = min(cpus.get(name, float("inf")), user + system)
+    ratios = {name: cpus[name] / cpus["off"] for name in ceilings}
+    for name, ratio in ratios.items():
+        print(f"{name} best: {cpus[name]:.3f} s CPU against "
+              f"{cpus['off']:.3f} s off, {ratio:.3f}x")
+    for name, ceiling in ceilings.items():
         assert ratios[name] < ceiling, (name, ratios[name])
 
 

@@ -61,8 +61,9 @@ class Server:
         self.env = env
         #: The claim in service, or None when idle.
         self._user: Optional[Event] = None
-        #: One FIFO per priority class, index = class.
-        self._queues: List[Deque[Event]] = [deque()]
+        #: One FIFO per priority class, index = class; grown by the
+        #: first wait in a class, so a server nobody queues at holds none.
+        self._queues: List[Deque[Event]] = []
         self._waiting = 0
         self._busy_since = env._now
         self._area = 0.0

@@ -56,7 +56,8 @@ class ResultCache:
         """The cached result of *spec*, or None.
 
         Corrupt or mismatched entries (truncated writes from an older
-        crash, digest collisions, format changes) count as misses.
+        crash, digest collisions, format changes, valid JSON of the wrong
+        shape) count as misses.
         """
         path = self.path_for(spec)
         try:
@@ -65,13 +66,15 @@ class ResultCache:
         except (OSError, json.JSONDecodeError):
             self.misses += 1
             return None
-        if (payload.get("cache_format") != CACHE_FORMAT_VERSION
-                or payload.get("spec") != _spec_dict(spec)):
+        if (not isinstance(payload, dict)
+                or payload.get("cache_format") != CACHE_FORMAT_VERSION
+                or payload.get("spec") != _spec_dict(spec)
+                or not isinstance(payload.get("result"), dict)):
             self.misses += 1
             return None
         try:
             result = RunResult.from_json_dict(payload["result"])
-        except (KeyError, TypeError):
+        except TypeError:
             self.misses += 1
             return None
         self.hits += 1

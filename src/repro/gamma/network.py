@@ -185,15 +185,17 @@ class Network:
     def multicast(self, src: int, pairs, num_bytes: int, span=None):
         """Process generator: ship one message to each destination in turn.
 
-        ``pairs`` is a sequence of ``(dst, message)``.  Semantically this
-        is exactly ``for dst, m in pairs: yield from deliver(src, dst,
-        num_bytes, m)`` -- the same endpoint holds in the same order, the
-        same simulated timings, one event sequence -- but the scheduler's
-        P-site broadcasts run it as a single batched generator: the
-        per-message setup (endpoint lookups, counter/invariant checks,
-        the occupancy division) is hoisted out of the per-destination
-        loop, which at P=1024 sites removes a few thousand attribute
-        walks per query without perturbing the model.
+        ``pairs`` is an iterable of ``(dst, message)``, consumed one pair
+        per delivery, so a generator builds each message only when its
+        send begins.  Semantically this is exactly ``for dst, m in pairs:
+        yield from deliver(src, dst, num_bytes, m)`` -- the same endpoint
+        holds in the same order, the same simulated timings, one event
+        sequence -- but the scheduler's P-site broadcasts run it as a
+        single batched generator: the per-message setup (endpoint
+        lookups, counter/invariant checks, the occupancy division) is
+        hoisted out of the per-destination loop, which at P=1024 sites
+        removes a few thousand attribute walks per query without
+        perturbing the model.
         """
         endpoints = self._endpoints
         sender = endpoints[src]

@@ -219,13 +219,13 @@ class QueryScheduler:
             handle.probes_complete = Event(self.env)
             yield from self.network.multicast(
                 self.node_id,
-                [(site, ProbeRequest(query_id=handle.query_id, site=site,
+                ((site, ProbeRequest(query_id=handle.query_id, site=site,
                                      relation=relation,
                                      attribute=predicate.attribute,
                                      matches=matches, reply_to=self.node_id,
                                      position=position))
                  for site, matches in zip(decision.probe_sites,
-                                          decision.probe_matches)],
+                                          decision.probe_matches)),
                 self.params.control_message_bytes, span=probe_span)
             yield handle.probes_complete
             if trace:
@@ -243,16 +243,18 @@ class QueryScheduler:
                                     clustered, counts, position)
             dispatch_span = trace.start(
                 "dispatch", sites=len(targets)) if trace else None
+            # A generator, not a list: each request is built when its
+            # send begins, so a 1,024-site fan-out holds one at a time.
             yield from self.network.multicast(
                 self.node_id,
-                [(site, SelectRequest(query_id=handle.query_id, site=site,
+                ((site, SelectRequest(query_id=handle.query_id, site=site,
                                       relation=relation,
                                       attribute=predicate.attribute,
                                       clustered_index=clustered,
                                       matches=counts[site],
                                       reply_to=self.node_id,
                                       position=position))
-                 for site in targets],
+                 for site in targets),
                 self.params.control_message_bytes, span=dispatch_span)
             if trace:
                 trace.finish(dispatch_span)
@@ -311,13 +313,13 @@ class QueryScheduler:
         relation, attribute, clustered, counts, position = handle.retry_ctx
         yield from self.network.multicast(
             self.node_id,
-            [(site, SelectRequest(query_id=handle.query_id, site=site,
+            ((site, SelectRequest(query_id=handle.query_id, site=site,
                                   relation=relation, attribute=attribute,
                                   clustered_index=clustered,
                                   matches=counts[site],
                                   reply_to=self.node_id,
                                   position=position))
-             for site in sites],
+             for site in sites),
             self.params.control_message_bytes)
 
     # -- incoming messages -------------------------------------------------------

@@ -14,7 +14,7 @@ A :class:`Fragment` is a view of a relation restricted to a subset of rows
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Callable, Dict, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -28,11 +28,15 @@ class Relation:
 
     Only the columns actually generated are stored; the schema may declare
     more (e.g. the Wisconsin string paddings that exist purely to reach the
-    208-byte tuple width).
+    208-byte tuple width).  A *derived* column is a function of the
+    relation, computed on its first :meth:`column` read and then stored,
+    so a run that never reads it never pays for it.
     """
 
     def __init__(self, name: str, schema: Schema,
-                 columns: Dict[str, np.ndarray]):
+                 columns: Dict[str, np.ndarray],
+                 derived: Optional[Mapping[
+                     str, Callable[["Relation"], np.ndarray]]] = None):
         self.name = name
         self.schema = schema
         if not columns:
@@ -40,10 +44,13 @@ class Relation:
         lengths = {len(col) for col in columns.values()}
         if len(lengths) != 1:
             raise ValueError(f"ragged columns: lengths {sorted(lengths)}")
-        for cname in columns:
+        derived = dict(derived or {})
+        for cname in (*columns, *derived):
             if cname not in schema:
                 raise KeyError(f"column {cname!r} is not in the schema")
         self._columns = {name: np.asarray(col) for name, col in columns.items()}
+        self._derived = derived
+        self._names = tuple(dict.fromkeys((*columns, *derived)))
         self._cardinality = lengths.pop()
 
     # -- basic accessors ---------------------------------------------------
@@ -57,17 +64,32 @@ class Relation:
         return self._cardinality
 
     def column(self, name: str) -> np.ndarray:
-        """The materialized column *name* (raises KeyError if absent)."""
+        """The materialized column *name* (raises KeyError if absent).
+
+        A derived column is computed here on its first read and stored.
+        """
         try:
             return self._columns[name]
+        except KeyError:
+            pass
+        try:
+            derive = self._derived[name]
         except KeyError:
             raise KeyError(
                 f"column {name!r} not materialized in relation {self.name!r}"
             ) from None
+        column = np.asarray(derive(self))
+        if len(column) != self._cardinality:
+            raise ValueError(
+                f"derived column {name!r} has {len(column)} rows, "
+                f"expected {self._cardinality}")
+        self._columns[name] = column
+        return column
 
     @property
     def materialized_columns(self) -> Sequence[str]:
-        return tuple(self._columns)
+        """Every column :meth:`column` returns, stored or derived."""
+        return self._names
 
     @property
     def tuple_size_bytes(self) -> int:

@@ -28,7 +28,7 @@ Correlation specifications accepted by :func:`make_wisconsin`:
 
 from __future__ import annotations
 
-from typing import Union
+from typing import Callable, Dict, Union
 
 import numpy as np
 
@@ -38,6 +38,7 @@ from .schema import INT, STRING, Attribute, Schema
 __all__ = [
     "WISCONSIN_TUPLE_BYTES",
     "HIGH_CORRELATION_WINDOW",
+    "SECONDARY_COLUMNS",
     "wisconsin_schema",
     "make_wisconsin",
     "correlated_permutation",
@@ -51,6 +52,23 @@ WISCONSIN_TUPLE_BYTES = 208
 #: 64 ranks out of 100,000 keeps any 300-tuple range of B inside a single
 #: processor's A-range (100,000 / 32 processors ≈ 3,125 values per site).
 HIGH_CORRELATION_WINDOW = 64
+
+#: The eleven integer attributes besides unique1 and unique2, each a
+#: function of unique1 [BDC83].  No experiment reads them, so a relation
+#: computes one on its first ``Relation.column`` read.
+SECONDARY_COLUMNS: Dict[str, Callable[[Relation], np.ndarray]] = {
+    "two": lambda r: r.column("unique1") % 2,
+    "four": lambda r: r.column("unique1") % 4,
+    "ten": lambda r: r.column("unique1") % 10,
+    "twenty": lambda r: r.column("unique1") % 20,
+    "one_percent": lambda r: r.column("unique1") % 100,
+    "ten_percent": lambda r: r.column("unique1") % 10,
+    "twenty_percent": lambda r: r.column("unique1") % 5,
+    "fifty_percent": lambda r: r.column("unique1") % 2,
+    "unique3": lambda r: r.column("unique1").copy(),
+    "even_one_percent": lambda r: (r.column("unique1") % 100) * 2,
+    "odd_one_percent": lambda r: (r.column("unique1") % 100) * 2 + 1,
+}
 
 
 def wisconsin_schema() -> Schema:
@@ -120,6 +138,11 @@ def make_wisconsin(cardinality: int = 100_000,
                    with_strings: bool = False) -> Relation:
     """Build the benchmark relation used throughout the paper.
 
+    Only ``unique1`` and ``unique2`` (and the strings, if asked for) are
+    generated here; the other eleven integer attributes
+    (:data:`SECONDARY_COLUMNS`) are computed from ``unique1`` on their
+    first read, and every run reads only the two partitioning attributes.
+
     Parameters
     ----------
     cardinality:
@@ -140,27 +163,13 @@ def make_wisconsin(cardinality: int = 100_000,
     unique1 = rng.permutation(cardinality).astype(np.int64)
     unique2 = correlated_permutation(unique1, correlation, rng)
 
-    columns = {
-        "unique1": unique1,
-        "unique2": unique2,
-        "two": unique1 % 2,
-        "four": unique1 % 4,
-        "ten": unique1 % 10,
-        "twenty": unique1 % 20,
-        "one_percent": unique1 % 100,
-        "ten_percent": unique1 % 10,
-        "twenty_percent": unique1 % 5,
-        "fifty_percent": unique1 % 2,
-        "unique3": unique1.copy(),
-        "even_one_percent": (unique1 % 100) * 2,
-        "odd_one_percent": (unique1 % 100) * 2 + 1,
-    }
+    columns = {"unique1": unique1, "unique2": unique2}
     if with_strings:
         padding = np.array(["A" * 52], dtype="U52")
         for sname in ("stringu1", "stringu2", "string4"):
             columns[sname] = np.broadcast_to(padding, (cardinality,)).copy()
 
-    return Relation(name, wisconsin_schema(), columns)
+    return Relation(name, wisconsin_schema(), columns, SECONDARY_COLUMNS)
 
 
 def make_skewed_wisconsin(cardinality: int = 100_000,
@@ -198,22 +207,9 @@ def make_skewed_wisconsin(cardinality: int = 100_000,
     ordered = np.sort(unique1)
     unique2 = ordered[ranks2]
 
-    columns = {
-        "unique1": unique1,
-        "unique2": unique2,
-        "two": unique1 % 2,
-        "four": unique1 % 4,
-        "ten": unique1 % 10,
-        "twenty": unique1 % 20,
-        "one_percent": unique1 % 100,
-        "ten_percent": unique1 % 10,
-        "twenty_percent": unique1 % 5,
-        "fifty_percent": unique1 % 2,
-        "unique3": unique1.copy(),
-        "even_one_percent": (unique1 % 100) * 2,
-        "odd_one_percent": (unique1 % 100) * 2 + 1,
-    }
-    return Relation(name, wisconsin_schema(), columns)
+    return Relation(name, wisconsin_schema(),
+                    {"unique1": unique1, "unique2": unique2},
+                    SECONDARY_COLUMNS)
 
 
 def measured_rank_correlation(x: np.ndarray, y: np.ndarray) -> float:

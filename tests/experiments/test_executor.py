@@ -297,6 +297,27 @@ class TestResultCache:
             handle.write("{ truncated")
         assert cache.get(plan.specs()[0]) is None
 
+    @pytest.mark.parametrize("body", [None, [], 3, "result-list"],
+                             ids=["null", "list", "number", "result-list"])
+    def test_wrong_shape_entry_counts_as_miss(self, tmp_path, body):
+        """Valid JSON that is not a cache entry is a miss, not a crash."""
+        cache = ResultCache(str(tmp_path))
+        plan = compile_figure(FIGURES["8a"], cardinality=8_000, num_sites=4,
+                              measured_queries=20, mpls=(2,), seed=5,
+                              strategies=("range",))
+        PlanExecutor().execute(plan, cache=cache)
+        spec = plan.specs()[0]
+        path = cache.path_for(spec)
+        if body == "result-list":
+            with open(path) as handle:
+                body = json.load(handle)
+            body["result"] = []
+        with open(path, "w") as handle:
+            json.dump(body, handle)
+        misses = cache.misses
+        assert cache.get(spec) is None
+        assert (cache.hits, cache.misses) == (0, misses + 1)
+
     def test_interrupted_sweep_resumes(self, tmp_path):
         """A killed run's completed points are skipped on re-run."""
         cache = ResultCache(str(tmp_path))

@@ -11,8 +11,11 @@ issuing the same :meth:`Network.deliver` calls back to back, or the
 
 import pytest
 
-from repro.des import Environment
-from repro.gamma import GAMMA_PARAMETERS, Cpu, Network
+from repro.core import RangePredicate, RangeStrategy
+from repro.des import Environment, Store
+from repro.gamma import GAMMA_PARAMETERS, Cpu, GammaMachine, Network
+from repro.gamma import scheduler as scheduler_module
+from repro.gamma.messages import SelectRequest
 
 NUM_NODES = 5
 
@@ -117,3 +120,38 @@ class TestMulticastEquivalence:
                 yield from net.deliver(src, d, 4096, (src, d))
 
         assert run(multicast) == run(deliver)
+
+
+class TestStreamedFanOut:
+    def test_select_built_when_its_send_begins(self, monkeypatch,
+                                               wisconsin_factory):
+        """A P-site QB fan-out holds one request at a time, not P."""
+        sites = 16
+        built, built_at_arrival = [], []
+
+        def counting_request(**fields):
+            built.append(fields["site"])
+            return SelectRequest(**fields)
+
+        put = Store.put
+
+        def spy(self, item):
+            if isinstance(item, SelectRequest):
+                built_at_arrival.append(len(built))
+            put(self, item)
+
+        monkeypatch.setattr(scheduler_module, "SelectRequest",
+                            counting_request)
+        monkeypatch.setattr(Store, "put", spy)
+        placement = RangeStrategy("unique1").partition(
+            wisconsin_factory(8_000, seed=5), sites)
+        machine = GammaMachine(placement,
+                               indexes={"unique1": False, "unique2": True},
+                               seed=5)
+        handle = machine.scheduler.submit(
+            "R", "QB", RangePredicate("unique2", 100, 199))
+        machine.env.run(until=handle.completion)
+        assert handle.sites_used == sites
+        assert built_at_arrival[0] == 1
+        assert sorted(built) == list(range(sites))
+        assert len(built_at_arrival) == sites

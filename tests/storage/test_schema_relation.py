@@ -76,6 +76,30 @@ class TestRelation:
         with pytest.raises(KeyError):
             Relation("r", small_schema(), {"zzz": np.arange(3)})
 
+    def test_derived_column_computed_once_on_first_read(self):
+        calls = []
+
+        def double(rel):
+            calls.append(rel)
+            return rel.column("a") * 2
+
+        r = Relation("r", small_schema(), {"a": np.arange(4)},
+                     derived={"b": double})
+        assert r.materialized_columns == ("a", "b")
+        assert calls == []
+        assert list(r.column("b")) == [0, 2, 4, 6]
+        assert r.column("b") is r.column("b")
+        assert calls == [r]
+
+    def test_derived_column_checked(self):
+        with pytest.raises(KeyError):
+            Relation("r", small_schema(), {"a": np.arange(3)},
+                     derived={"zzz": lambda rel: rel.column("a")})
+        r = Relation("r", small_schema(), {"a": np.arange(3)},
+                     derived={"b": lambda rel: np.arange(5)})
+        with pytest.raises(ValueError):
+            r.column("b")
+
     def test_ragged_columns_rejected(self):
         with pytest.raises(ValueError):
             Relation("r", small_schema(),

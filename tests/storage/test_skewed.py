@@ -66,3 +66,16 @@ class TestSkewedGenerator:
     def test_derived_columns_consistent(self):
         rel = make_skewed_wisconsin(1_000, skew=2.0, seed=8)
         assert np.array_equal(rel.column("two"), rel.column("unique1") % 2)
+
+    def test_secondary_columns_derived_on_first_read(self):
+        rel = make_skewed_wisconsin(1_000, skew=2.0, seed=8)
+        assert set(rel._columns) == {"unique1", "unique2"}
+        u1 = rel.column("unique1")
+        for name, formula in (("twenty", u1 % 20),
+                              ("unique3", u1),
+                              ("odd_one_percent", (u1 % 100) * 2 + 1)):
+            first = rel.column(name)
+            assert np.array_equal(first, formula)
+            assert rel.column(name) is first
+        assert set(rel._columns) == {"unique1", "unique2", "twenty",
+                                     "unique3", "odd_one_percent"}

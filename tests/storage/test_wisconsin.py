@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.experiments import FIGURES, PlanExecutor, compile_figure
+from repro.experiments.plan import _relation_for, clear_memos
 from repro.storage import (
     HIGH_CORRELATION_WINDOW,
     WISCONSIN_TUPLE_BYTES,
@@ -49,6 +51,38 @@ class TestGenerator:
         assert np.array_equal(r.column("two"), u1 % 2)
         assert np.array_equal(r.column("one_percent"), u1 % 100)
         assert np.array_equal(r.column("unique3"), u1)
+
+    def test_fresh_relation_stores_only_the_partitioning_columns(self):
+        r = make_wisconsin(cardinality=300)
+        assert set(r._columns) == {"unique1", "unique2"}
+        # Still listed: every column column() can return.
+        ints = [a.name for a in wisconsin_schema() if a.kind == "int"]
+        assert set(r.materialized_columns) == set(ints)
+
+    @pytest.mark.parametrize("name, formula", [
+        ("two", lambda u1: u1 % 2),
+        ("four", lambda u1: u1 % 4),
+        ("ten", lambda u1: u1 % 10),
+        ("twenty", lambda u1: u1 % 20),
+        ("one_percent", lambda u1: u1 % 100),
+        ("ten_percent", lambda u1: u1 % 10),
+        ("twenty_percent", lambda u1: u1 % 5),
+        ("fifty_percent", lambda u1: u1 % 2),
+        ("unique3", lambda u1: u1),
+        ("even_one_percent", lambda u1: (u1 % 100) * 2),
+        ("odd_one_percent", lambda u1: (u1 % 100) * 2 + 1),
+    ])
+    def test_derived_on_first_read_then_cached(self, name, formula):
+        r = make_wisconsin(cardinality=300, seed=4)
+        first = r.column(name)
+        assert np.array_equal(first, formula(r.column("unique1")))
+        assert first.dtype == np.int64
+        assert r.column(name) is first
+        assert set(r._columns) == {"unique1", "unique2", name}
+
+    def test_unique3_is_a_copy(self):
+        r = make_wisconsin(cardinality=50)
+        assert not np.shares_memory(r.column("unique3"), r.column("unique1"))
 
     def test_strings_optional(self):
         r = make_wisconsin(cardinality=10, with_strings=True)
@@ -111,3 +145,16 @@ class TestCorrelation:
         assert measured_rank_correlation(np.array([1]), np.array([2])) == 1.0
         with pytest.raises(ValueError):
             measured_rank_correlation(np.arange(3), np.arange(4))
+
+
+def test_figure_run_derives_no_column():
+    """A fig-8a plan reads unique1/unique2 only: no column is derived."""
+    clear_memos()
+    plan = compile_figure(FIGURES["8a"], cardinality=8_000, num_sites=8,
+                          measured_queries=20, mpls=(1, 4), seed=3)
+    try:
+        PlanExecutor().execute(plan)
+        relation = _relation_for(plan.specs()[0])
+        assert set(relation._columns) == {"unique1", "unique2"}
+    finally:
+        clear_memos()
