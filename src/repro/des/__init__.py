@@ -22,8 +22,9 @@ resumes it after the server has served it for the given time::
     env.process(customer(env, server))
     env.run()
 
-Agenda entries are ``(time, seq, event)`` or ``(time, seq, callback,
-argument)``; same-time entries run in the order they were scheduled.
+Agenda entries are ``(time, seq, callback, argument)``, with ``callback``
+``None`` for an event; same-time entries run in the order they were
+scheduled.
 """
 
 from .environment import Environment

@@ -24,7 +24,7 @@ Model
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 from ..des import Environment, Event
@@ -35,7 +35,7 @@ from .params import SimulationParameters
 __all__ = ["Disk", "DiskRequest"]
 
 
-@dataclass
+@dataclass(slots=True)
 class DiskRequest:
     """One queued disk operation."""
 
@@ -66,10 +66,17 @@ class Disk:
         self.cpu = cpu
         self.name = name
         self.obs_label = "node.disk"
-        self._reads = registry.counter(f"{metric_prefix}.reads")
-        self._writes = registry.counter(f"{metric_prefix}.writes")
-        self._pages = registry.counter(f"{metric_prefix}.pages")
-        self._wait_hist = registry.sketch(f"{metric_prefix}.wait_seconds")
+        # With the null registry the instruments are None and skipped,
+        # as in Network: four no-op calls per request otherwise.
+        if registry is NULL_REGISTRY:
+            self._reads = self._writes = self._pages = None
+            self._wait_hist = None
+        else:
+            self._reads = registry.counter(f"{metric_prefix}.reads")
+            self._writes = registry.counter(f"{metric_prefix}.writes")
+            self._pages = registry.counter(f"{metric_prefix}.pages")
+            self._wait_hist = registry.sketch(
+                f"{metric_prefix}.wait_seconds")
         self._rng = random.Random(seed)
         self._pending: List[DiskRequest] = []
         self._arrival: Optional[Event] = None
@@ -100,11 +107,16 @@ class Disk:
                               sequential=sequential, is_write=is_write,
                               done=Event(self.env),
                               enqueued_at=self.env.now, span=span)
-        (self._writes if is_write else self._reads).inc()
-        self._pages.inc(num_pages)
+        if self._pages is not None:
+            (self._writes if is_write else self._reads).inc()
+            self._pages.inc(num_pages)
         self._pending.append(request)
-        if self._arrival is not None and not self._arrival.triggered:
-            self._arrival.succeed()
+        arrival = self._arrival
+        if arrival is not None:
+            # Wake the idle arm once: later submits before it runs
+            # find no arrival event to trigger.
+            self._arrival = None
+            arrival.succeed()
         return request.done
 
     def read(self, cylinder: int, num_pages: int, sequential: bool = False,
@@ -131,63 +143,76 @@ class Disk:
 
     def _pick_next(self) -> DiskRequest:
         """SCAN: nearest request in the sweep direction; reverse at ends."""
-        ahead = [r for r in self._pending
-                 if (r.cylinder >= self._current_cylinder) == self._sweep_up
-                 or r.cylinder == self._current_cylinder]
+        pending = self._pending
+        current = self._current_cylinder
+        if len(pending) == 1:
+            # The common case: the only request is chosen whichever way
+            # the arm sweeps; the sweep still reverses when it lies
+            # behind the arm.
+            request = pending.pop()
+            if (request.cylinder != current
+                    and (request.cylinder > current) != self._sweep_up):
+                self._sweep_up = not self._sweep_up
+            return request
+        ahead = [r for r in pending
+                 if (r.cylinder >= current) == self._sweep_up
+                 or r.cylinder == current]
         if not ahead:
             self._sweep_up = not self._sweep_up
-            ahead = self._pending
-        chosen = min(ahead,
-                     key=lambda r: abs(r.cylinder - self._current_cylinder))
-        self._pending.remove(chosen)
+            ahead = pending
+        chosen = min(ahead, key=lambda r: abs(r.cylinder - current))
+        pending.remove(chosen)
         return chosen
 
     def _serve_loop(self):
-        while True:
-            if not self._pending:
-                self._arrival = Event(self.env)
-                yield self._arrival
-                self._arrival = None
-            request = self._pick_next()
-            yield from self._service(request)
-
-    def _service(self, request: DiskRequest):
-        start = self.env.now
-        queue_wait = start - request.enqueued_at
-        self._wait_hist.record(queue_wait)
-
-        distance = abs(request.cylinder - self._current_cylinder)
-        repositioning = not (request.sequential and distance == 0)
-        if repositioning:
-            positioning = (self.params.disk_settle_seconds
-                           + self.params.seek_seconds(distance)
-                           + self._rng.uniform(
-                               0.0, self.params.disk_max_latency_seconds))
-            yield positioning
-            self.busy_seconds += positioning
-        self._current_cylinder = request.cylinder
-
+        # A request's service is written out here rather than delegated
+        # to a sub-generator, whose every resume would pass through one
+        # more frame.
+        params = self.params
         transfer = self._page_transfer_seconds
         dma_service = self._dma_service
         cpu = self.cpu
         cpu_hold = cpu._hold
-        for _ in range(request.num_pages):
-            yield transfer
-            self.busy_seconds += transfer
-            # FIFO buffer full: interrupt the CPU for the DMA transfer,
-            # holding it directly rather than through cpu.execute() --
-            # a generator per page in the hottest loop of the model.
-            yield cpu_hold(dma_service, DMA_PRIORITY)
-            cpu.busy_seconds += dma_service
+        while True:
+            if not self._pending:
+                self._arrival = arrival = Event(self.env)
+                yield arrival
+            request = self._pick_next()
+            start = self.env.now
+            queue_wait = start - request.enqueued_at
+            if self._wait_hist is not None:
+                self._wait_hist.record(queue_wait)
 
-        # Streaming advances the arm across cylinders.
-        span = request.num_pages // self.params.disk_geometry.pages_per_cylinder
-        limit = self.params.disk_geometry.cylinders - 1
-        self._current_cylinder = min(self._current_cylinder + span, limit)
+            distance = abs(request.cylinder - self._current_cylinder)
+            repositioning = not (request.sequential and distance == 0)
+            if repositioning:
+                positioning = (params.disk_settle_seconds
+                               + params.seek_seconds(distance)
+                               + self._rng.uniform(
+                                   0.0, params.disk_max_latency_seconds))
+                yield positioning
+                self.busy_seconds += positioning
+            self._current_cylinder = request.cylinder
 
-        self.requests_served += 1
-        if request.span is not None:
-            request.span.trace.resource(
-                request.span, self.obs_label, queue_wait,
-                self.env.now - start, pages=request.num_pages)
-        request.done.succeed(self.env.now - start)
+            for _ in range(request.num_pages):
+                yield transfer
+                self.busy_seconds += transfer
+                # FIFO buffer full: interrupt the CPU for the DMA
+                # transfer, holding it directly rather than through
+                # cpu.execute() -- a generator per page in the hottest
+                # loop of the model.
+                yield cpu_hold(dma_service, DMA_PRIORITY)
+                cpu.busy_seconds += dma_service
+
+            # Streaming advances the arm across cylinders.
+            geometry = params.disk_geometry
+            span = request.num_pages // geometry.pages_per_cylinder
+            self._current_cylinder = min(self._current_cylinder + span,
+                                         geometry.cylinders - 1)
+
+            self.requests_served += 1
+            if request.span is not None:
+                request.span.trace.resource(
+                    request.span, self.obs_label, queue_wait,
+                    self.env.now - start, pages=request.num_pages)
+            request.done.succeed(self.env.now - start)

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Dict
 
 __all__ = ["BTreeIndex", "IndexAccessPlan", "yao_pages_touched",
            "sequential_scan_plan"]
@@ -170,6 +171,8 @@ class BTreeIndex:
         self.fanout = fanout
         self.cached_levels = cached_levels
         self.resident = resident
+        #: Frozen plans by match count (see :meth:`range_lookup`).
+        self._plans: Dict[int, IndexAccessPlan] = {}
 
     # -- shape ---------------------------------------------------------------
 
@@ -227,7 +230,17 @@ class BTreeIndex:
         inspection -- the cost the paper highlights for processors that
         "search their fragment of the relation to find no relevant
         tuples".
+
+        The plan depends only on the match count and the index's shape,
+        which is fixed once the index is built, and it is frozen, so
+        each count's plan is built once and shared.
         """
+        plan = self._plans.get(num_matches)
+        if plan is None:
+            plan = self._plans[num_matches] = self._plan(num_matches)
+        return plan
+
+    def _plan(self, num_matches: int) -> IndexAccessPlan:
         if num_matches < 0:
             raise ValueError(f"negative match count {num_matches}")
         if self.num_keys == 0:

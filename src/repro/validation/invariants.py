@@ -12,6 +12,10 @@ Invariants enforced
 ``clock.monotone``
     The event loop never steps backwards: each popped agenda entry
     fires at a time >= the current clock.
+``agenda.order``
+    Popped agenda entries come out in strictly increasing
+    ``(time, seq)`` order, across the kernel's heap and its FIFO of
+    entries due now -- the order one correct heap gives.
 ``query.termination``
     Every issued query terminates exactly once -- a second completion
     of the same query id, or a completion for a query that was never
@@ -114,6 +118,7 @@ class InvariantChecker:
         self._buffers: List[Tuple[str, Any]] = []
         self._in_flight_fn: Optional[Callable[[], int]] = None
         self._env = None
+        self._last_popped: Tuple[float, int] = (float("-inf"), 0)
         self._window_start = 0.0
         self._checks_counter = None
         self._violations_counter = None
@@ -152,13 +157,25 @@ class InvariantChecker:
 
     # -- hot-path hooks (bookkeeping only; no simulation side effects) -----
 
-    def on_event(self, when: float, now: float) -> None:
-        """Called by ``Environment.step`` before advancing the clock."""
+    def on_event(self, when: float, now: float, seq: int) -> None:
+        """Called by ``Environment._run_checked`` for each popped entry
+        (firing time *when*, sequence number *seq*) before the clock
+        advances from *now*."""
         self._count("clock.monotone")
         if when < now:
             self._violate("clock.monotone",
                           "event scheduled in the past",
                           {"event_time": when, "clock": now})
+        self._count("agenda.order")
+        popped = (when, seq)
+        if popped <= self._last_popped:
+            last_time, last_seq = self._last_popped
+            self._violate("agenda.order",
+                          "agenda entry popped out of (time, seq) order",
+                          {"event_time": when, "seq": seq,
+                           "previous_time": last_time,
+                           "previous_seq": last_seq})
+        self._last_popped = popped
 
     def on_query_issued(self, query_id: int, query_type: str,
                         now: float) -> None:

@@ -161,7 +161,7 @@ class TestHoldMatchesRequest:
         """The invariant-checked loop steps one entry at a time with
         elision off; the outcome must not change."""
         class Clock:
-            def on_event(self, when, now):
+            def on_event(self, when, now, seq):
                 assert when >= now
 
         def drive(stepwise):

@@ -1,9 +1,12 @@
 """Unit tests for the CPU module and the elevator disk manager."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.des import Environment
 from repro.gamma import GAMMA_PARAMETERS, Cpu, Disk
+from repro.gamma.disk import DiskRequest
 from repro.gamma.cpu import DMA_PRIORITY
 from repro.obs import MetricsRegistry
 
@@ -234,3 +237,46 @@ class TestDisk:
         assert disk.requests_served == 2
         # The second request waited for the first's service.
         assert waits.max > 0
+
+
+def _reference_pick(pending, current, sweep_up):
+    """The elevator's scan before it took a lone request directly."""
+    ahead = [r for r in pending
+             if (r.cylinder >= current) == sweep_up or r.cylinder == current]
+    if not ahead:
+        sweep_up = not sweep_up
+        ahead = pending
+    chosen = min(ahead, key=lambda r: abs(r.cylinder - current))
+    pending.remove(chosen)
+    return chosen, sweep_up
+
+
+CYLINDERS = st.integers(0, GAMMA_PARAMETERS.disk_geometry.cylinders - 1)
+
+
+@given(start=CYLINDERS, sweep_up=st.booleans(),
+       batches=st.lists(st.lists(st.one_of(CYLINDERS, st.sampled_from(
+           [0, 1, GAMMA_PARAMETERS.disk_geometry.cylinders - 1])),
+           min_size=1, max_size=4), min_size=1, max_size=25))
+@settings(max_examples=200, deadline=None)
+def test_pick_next_matches_reference_scan(start, sweep_up, batches):
+    """Single and multi-request picks choose the request and set the
+    sweep direction exactly as the full scan does, with the arm moving
+    to each chosen cylinder in turn."""
+    env = Environment()
+    disk = Disk(env, GAMMA_PARAMETERS, Cpu(env, GAMMA_PARAMETERS))
+    disk._current_cylinder = current = start
+    disk._sweep_up = sweep_up
+    for batch in batches:
+        requests = [DiskRequest(cylinder=c, num_pages=1, sequential=False,
+                                is_write=False, done=None, enqueued_at=0.0)
+                    for c in batch]
+        disk._pending = list(requests)
+        reference = list(requests)
+        while reference:
+            expected, sweep_up = _reference_pick(reference, current,
+                                                 sweep_up)
+            assert disk._pick_next() is expected
+            assert disk._sweep_up == sweep_up
+            assert disk._pending == reference
+            disk._current_cylinder = current = expected.cylinder

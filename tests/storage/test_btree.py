@@ -136,3 +136,37 @@ class TestAccessPlans:
         low_a = nonclustered.range_lookup(1).total_reads
         low_b = clustered.range_lookup(10).total_reads
         assert abs(low_a - low_b) <= 3
+
+
+class TestPlanMemo:
+    """range_lookup memoizes its frozen plan per match count; a memoized
+    plan must equal the plan a fresh index builds."""
+
+    SHAPES = [
+        dict(num_keys=0),
+        dict(num_keys=1, clustered=True),
+        dict(num_keys=98, clustered=False),
+        dict(num_keys=98, clustered=False, resident=True),
+        dict(num_keys=3125, clustered=True, cached_levels=0),
+        dict(num_keys=3125, clustered=False, fanout=8),
+    ]
+
+    @pytest.mark.parametrize("shape", SHAPES,
+                             ids=lambda shape: "-".join(
+                                 f"{k}={v}" for k, v in shape.items()))
+    def test_memo_matches_fresh_index(self, shape):
+        idx = BTreeIndex(**shape)
+        keys = shape["num_keys"]
+        counts = [0, 1, max(keys // 3, 2), keys, keys + 7]
+        # Ask twice in a mixed order: the second pass reads the memo.
+        for matches in counts + counts[::-1]:
+            plan = idx.range_lookup(matches)
+            assert plan == BTreeIndex(**shape).range_lookup(matches)
+            assert idx.range_lookup(matches) is plan
+
+    def test_negative_count_raises_every_time(self):
+        idx = BTreeIndex(98)
+        idx.range_lookup(3)
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                idx.range_lookup(-1)

@@ -26,11 +26,28 @@ class _FakePool:
 class TestUnitInvariants:
     def test_clock_never_steps_backwards(self):
         checker = InvariantChecker()
-        checker.on_event(when=2.0, now=1.0)  # forward: fine
+        checker.on_event(when=2.0, now=1.0, seq=1)  # forward: fine
         with pytest.raises(InvariantViolation) as err:
-            checker.on_event(when=0.5, now=1.0)
+            checker.on_event(when=0.5, now=1.0, seq=2)
         assert err.value.invariant == "clock.monotone"
         assert err.value.context["event_time"] == 0.5
+
+    def test_agenda_pops_in_time_seq_order(self):
+        checker = InvariantChecker()
+        checker.on_event(when=1.0, now=0.0, seq=4)
+        checker.on_event(when=1.0, now=1.0, seq=7)  # same instant, later seq
+        checker.on_event(when=2.0, now=1.0, seq=5)  # later instant
+        with pytest.raises(InvariantViolation) as err:
+            checker.on_event(when=2.0, now=2.0, seq=3)
+        assert err.value.invariant == "agenda.order"
+        assert err.value.context["previous_seq"] == 5
+        assert checker.checks["agenda.order"] == 4
+
+    def test_repeated_entry_breaks_order(self):
+        checker = InvariantChecker(raise_on_violation=False)
+        checker.on_event(when=1.0, now=0.0, seq=2)
+        checker.on_event(when=1.0, now=1.0, seq=2)
+        assert [v.invariant for v in checker.violations] == ["agenda.order"]
 
     def test_double_issue_raises(self):
         checker = InvariantChecker()
@@ -194,7 +211,7 @@ class TestBrokenMachineDetected:
         assert result.completed == 20
         assert checker.violations == []
         # Every law was actually exercised, not vacuously skipped.
-        for law in ("clock.monotone", "query.termination",
+        for law in ("clock.monotone", "agenda.order", "query.termination",
                     "messages.conservation", "resource.busy_time",
                     "buffer.conservation"):
             assert checker.checks.get(law, 0) > 0, law
